@@ -22,11 +22,10 @@ from .fgn import (BmPath, FbmPath, HurstParameter, fbm_covariance,
 from .scaling import ScalingReport, check_cubic, check_quadratic, power_variation
 from .skeleton import (CrossingCounts, SkeletalStructure, build_skeleton,
                        crossing_counts, sample_walk_exact, updown_difference)
-from .stats import (KsResult, SampleSummary, fit_log2_slope, ks_two_sample,
-                    mc_mean_ci)
+from .stats import KsResult, SampleSummary, fit_log2_slope, ks_two_sample
 from .streams import SeedRecord
-from .variations import (SmoothFunction, VariationSeries, hermite,
-                         odd_power_hermite_coeffs, rescaled_increment,
+from .variations import (SmoothFunction, hermite, odd_power_hermite_coeffs,
+                         rescaled_increment,
                          symmetric_variation_direct,
                          symmetric_variation_skeletal,
                          weighted_hermite_variation)

@@ -6,7 +6,8 @@ evidence:
 * supercritical (H > 1/6): the symmetric-sum residual
   f(Z_t) - f(0) - V_n(f', t) tightens to zero as the level grows;
 * critical (H = 1/6): f(Z_t) - f(0) + (kappa3/12) * int_0^{Y_t} f'''(X) dW
-  matches V_n(f', t) in law (two-sample KS across independent pools);
+  matches V_n(f', t) in law (two-sample KS across independent pools); W
+  is a Brownian motion independent of (X, Y), drawn for this regime only;
 * subcritical (H < 1/6): the variance of V_n^{(3)}(1, t) grows like
   2^{n(1-6H)/2}, so the symmetric sums cannot converge.
 
@@ -22,23 +23,24 @@ and solved in exact rational arithmetic.
 
 from __future__ import annotations
 
-import json
 import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
 from .fgn import (BmPath, ExtentError, FbmPath, HurstParameter, dyadic_step,
                   extend_bm, sample_bm, sample_fbm_two_sided)
 from .skeleton import SkeletalStructure, build_skeleton
-from .stats import SampleSummary, fit_log2_slope, ks_two_sample
+from .stats import (PerLevelReport, SampleSummary, fit_log2_slope,
+                    ks_two_sample)
 from .streams import SeedRecord, as_seed_record
-from .variations import SmoothFunction, symmetric_variation_direct
+from .variations import (SmoothFunction, symmetric_cell_sum,
+                         symmetric_variation_direct)
 
 __all__ = [
     "KAPPA3",
@@ -49,6 +51,7 @@ __all__ = [
     "evaluate_z",
     "taylor_coefficients",
     "ito_residual",
+    "ito_residual_pair",
     "correction_integral",
     "sample_joint",
     "verify_branch",
@@ -70,22 +73,21 @@ REPORT_SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class JointSample:
-    """One realization of (X, Y, W) with the skeleton of Y at one level.
+    """One realization of (X, Y) with the skeleton of Y at one level.
 
-    x, y, w come from disjoint substreams of the master seed, so the three
-    processes are independent; the skeleton always derives from y.
+    x and y come from disjoint substreams of the master seed, so the two
+    processes are independent; the skeleton always derives from y.  The
+    critical formula's W, where a caller needs it, is drawn on x's grid
+    from ``seed_record.derive("wiener")``.
     """
 
     x: FbmPath
     y: BmPath
-    w: FbmPath
     skeleton: SkeletalStructure
     level: int
     seed_record: SeedRecord
 
     def __post_init__(self):
-        if abs(self.w.hurst.value - 0.5) > 1e-12:
-            raise ValueError("w must be a two-sided Brownian motion (H = 1/2)")
         if self.skeleton.level != self.level:
             raise ValueError("skeleton level disagrees with sample level")
 
@@ -100,9 +102,8 @@ def _pow2_at_least(x: float) -> int:
 
 
 def sample_joint(hurst, level: int, t: float, seed: "int | SeedRecord", *,
-                 mode: str = "bridge", x_refine: int = 64,
-                 y_spacing: "float | None" = None) -> JointSample:
-    """Draw (X, Y, W, skeleton) adequate for horizon t at the given level.
+                 mode: str = "bridge", x_refine: int = 64) -> JointSample:
+    """Draw (X, Y, skeleton) adequate for horizon t at the given level.
 
     The spatial grids adapt to the realized walk range and |Y_t| (rounded up
     to a power of two so embedding spectra are shared across replicas).
@@ -110,8 +111,7 @@ def sample_joint(hurst, level: int, t: float, seed: "int | SeedRecord", *,
     record = as_seed_record(seed)
     h = HurstParameter(float(hurst) if not isinstance(hurst, HurstParameter) else hurst.value)
     steps_needed = int(math.floor(2.0**level * t + 1e-9))
-    dt = y_spacing if y_spacing is not None else 2.0 ** (-(level + 2))
-    y = sample_bm(_horizon_for(level, t), dt, record.derive("bm"))
+    y = sample_bm(_horizon_for(level, t), 2.0 ** (-(level + 2)), record.derive("bm"))
     sk = build_skeleton(y, level, mode=mode, seed=record.derive("bridge"))
     while sk.n_steps < steps_needed:
         y = extend_bm(y, y.horizon * 1.5)
@@ -123,8 +123,7 @@ def sample_joint(hurst, level: int, t: float, seed: "int | SeedRecord", *,
     need = max(walk_reach * a, abs(y_t) + 2 * spacing, 4 * spacing)
     half_extent = _pow2_at_least(need / spacing)
     x = sample_fbm_two_sided(h, spacing, half_extent, record.derive("fbm"))
-    w = sample_fbm_two_sided(0.5, spacing, half_extent, record.derive("wiener"))
-    return JointSample(x=x, y=y, w=w, skeleton=sk, level=level, seed_record=record)
+    return JointSample(x=x, y=y, skeleton=sk, level=level, seed_record=record)
 
 
 def evaluate_z(x: FbmPath, y_value: float) -> float:
@@ -242,13 +241,23 @@ def _skeletal_z_values(js: JointSample, t: float) -> np.ndarray:
     return js.x.values[idx]
 
 
-def ito_residual(f: SmoothFunction, js: JointSample, t: float) -> float:
-    """f(Z_t) - f(0) - V_n(f', t), the supercritical-formula defect."""
+def ito_residual_pair(f: SmoothFunction, js: JointSample, t: float) -> tuple:
+    """(f(Z_t) - f(0) - V_n(f', t), f(Z_{T_N}) - f(0) - V_n(f', t)).
+
+    T_N is the last skeletal time, N = floor(2^n t).  The first entry is
+    the supercritical-formula defect; the second is its Taylor remainder at
+    T_N, without the endpoint mismatch f(Z_t) - f(Z_{T_N}).
+    """
     z = _skeletal_z_values(js, t)
     # fewer than one full step: the variation is an empty sum
     v = symmetric_variation_direct(_as_weight(f, 1), z, 1) if len(z) > 1 else 0.0
-    y_t = js.y.value_at_time(t)
-    return float(f(evaluate_z(js.x, y_t)) - f(0.0) - v)
+    z_t = evaluate_z(js.x, js.y.value_at_time(t))
+    return float(f(z_t) - f(0.0) - v), float(f(z[-1]) - f(0.0) - v)
+
+
+def ito_residual(f: SmoothFunction, js: JointSample, t: float) -> float:
+    """f(Z_t) - f(0) - V_n(f', t), the supercritical-formula defect."""
+    return ito_residual_pair(f, js, t)[0]
 
 
 def _as_weight(f: SmoothFunction, order: int) -> SmoothFunction:
@@ -257,41 +266,31 @@ def _as_weight(f: SmoothFunction, order: int) -> SmoothFunction:
                           derivatives=f.derivatives[order:])
 
 
-def _correction_sum(f3, x_values: np.ndarray, w_values: np.ndarray,
-                    center: int, count: int, sign: int, kappa3: float) -> float:
-    """(kappa3/12) * forward sum of f'''(X) dW over one branch of the grid."""
-    if count <= 0:
-        return 0.0
-    j = sign * np.arange(count) + center
-    j1 = sign * np.arange(1, count + 1) + center
-    terms = f3(x_values[j]) * (w_values[j1] - w_values[j])
-    return (kappa3 / 12.0) * math.fsum(terms.tolist())
-
-
-def correction_integral(f: SmoothFunction, js: JointSample, t: float,
+def correction_integral(f: SmoothFunction, x: FbmPath, w: FbmPath, y_t: float,
                         kappa3: float = KAPPA3) -> float:
-    """Critical-regime bracket term (kappa3/12) int_0^{Y_t} f'''(X_s) dW_s.
+    """Critical-regime bracket term (kappa3/12) int_0^{y_t} f'''(X_s) dW_s.
 
-    Grid sum in the Wiener-Ito (forward) sense along the x/w grid from 0 to
-    Y_t; for Y_t < 0 the sum runs over the negative side of both two-sided
-    processes.
+    Grid sum in the Wiener-Ito (forward) sense along the shared x/w grid
+    from 0 to y_t; for y_t < 0 the sum runs over the negative side of both
+    two-sided processes.
     """
-    if js.x.hurst.regime != "critical":
+    if x.hurst.regime != "critical":
         raise ValueError(
-            f"correction integral is defined at H = 1/6, sample has H = {js.x.hurst.value}"
+            f"correction integral is defined at H = 1/6, x has H = {x.hurst.value}"
         )
-    if js.x.spacing != js.w.spacing or js.x.half_extent != js.w.half_extent:
+    if abs(w.hurst.value - 0.5) > 1e-12:
+        raise ValueError("w must be a two-sided Brownian motion (H = 1/2)")
+    if x.spacing != w.spacing or x.half_extent != w.half_extent:
         raise ValueError("x and w must share their grid")
-    y_t = js.y.value_at_time(t)
-    h = js.x.spacing
-    count = int(math.floor(abs(y_t) / h + 1e-12))
-    if count > js.x.half_extent:
-        raise ExtentError(
-            f"grid extent {js.x.extent} cannot reach Y_t = {y_t}"
-        )
+    count = int(math.floor(abs(y_t) / x.spacing + 1e-12))
+    if count > x.half_extent:
+        raise ExtentError(f"grid extent {x.extent} cannot reach Y_t = {y_t}")
+    if count == 0:
+        return 0.0
     sign = 1 if y_t >= 0 else -1
-    return _correction_sum(f.derivative(3), js.x.values, js.w.values,
-                           js.x.half_extent, count, sign, kappa3)
+    j = sign * np.arange(count) + x.half_extent
+    terms = f.derivative(3)(x.values[j]) * (w.values[j + sign] - w.values[j])
+    return (kappa3 / 12.0) * math.fsum(terms.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -315,15 +314,31 @@ class VerifyConfig:
 
     def __post_init__(self):
         HurstParameter(self.hurst)
-        if len(self.levels) < 1:
-            raise ValueError("need at least one level")
-        if self.replicas < 2:
-            raise ValueError("need at least two replicas")
+        levels = list(self.levels)
+        if not levels or not all(_is_int(n) for n in levels) or levels[0] < 1 \
+                or any(b <= a for a, b in zip(levels, levels[1:])):
+            raise ValueError(f"levels must be strictly increasing integers >= 1, "
+                             f"got {self.levels}")
+        if not (math.isfinite(self.t) and self.t > 0):
+            raise ValueError(f"t must be finite and > 0, got {self.t}")
+        if not (_is_int(self.replicas) and self.replicas >= 2):
+            raise ValueError(f"replicas must be an integer >= 2, got {self.replicas}")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed}")
+        if not (_is_int(self.x_refine) and self.x_refine >= 1
+                and self.x_refine & (self.x_refine - 1) == 0):
+            raise ValueError(f"x_refine must be a power of two, got {self.x_refine}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
-class VerificationReport:
+class VerificationReport(PerLevelReport):
     """Per-level Monte Carlo evidence for one branch of the formula check."""
+
+    BODY_KEYS = {"f_descriptor": "f"}
 
     branch: str
     hurst: float
@@ -336,46 +351,6 @@ class VerificationReport:
     seed: int
     wall_time: float = 0.0
     schema_version: int = REPORT_SCHEMA_VERSION
-
-    def body_dict(self) -> dict:
-        """Deterministic payload: everything except timing."""
-        return {
-            "schema_version": self.schema_version,
-            "branch": self.branch,
-            "hurst": self.hurst,
-            "f": self.f_descriptor,
-            "t": self.t,
-            "levels": self.levels,
-            "replicas": self.replicas,
-            "per_level": self.per_level,
-            "extra": self.extra,
-            "seed": self.seed,
-        }
-
-    def to_json(self) -> str:
-        doc = {"body": self.body_dict(), "wall_time": self.wall_time}
-        return json.dumps(doc, sort_keys=True, indent=2)
-
-    def save(self, file: "str | Path") -> None:
-        Path(file).write_text(self.to_json() + "\n", encoding="utf-8")
-
-    def per_level_csv(self) -> str:
-        keys = sorted({k for row in self.per_level for k in row})
-        lines = ["level," + ",".join(keys)]
-        for lev, row in zip(self.levels, self.per_level):
-            lines.append(str(lev) + "," + ",".join(repr(row.get(k, "")) for k in keys))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "VerificationReport":
-        doc = json.loads(text)
-        body = doc["body"]
-        return cls(branch=body["branch"], hurst=body["hurst"],
-                   f_descriptor=body["f"], t=body["t"], levels=body["levels"],
-                   replicas=body["replicas"], per_level=body["per_level"],
-                   extra=body["extra"], seed=body["seed"],
-                   wall_time=doc.get("wall_time", 0.0),
-                   schema_version=body["schema_version"])
 
 
 def _map_replicas(fn, reps: int, workers: int) -> list:
@@ -392,12 +367,7 @@ def _branch_supercritical_level(cfg: VerifyConfig, level: int) -> dict:
         js = sample_joint(cfg.hurst, level, cfg.t,
                           base.derive("supercritical", level, rep),
                           x_refine=cfg.x_refine)
-        z = _skeletal_z_values(js, cfg.t)
-        v = symmetric_variation_direct(_as_weight(cfg.f, 1), z, 1)
-        z_t = evaluate_z(js.x, js.y.value_at_time(cfg.t))
-        full = float(cfg.f(z_t) - cfg.f(0.0) - v)
-        at_end = float(cfg.f(z[-1]) - cfg.f(0.0) - v)
-        return full, at_end
+        return ito_residual_pair(cfg.f, js, cfg.t)
 
     pairs = _map_replicas(one, cfg.replicas, cfg.workers)
     res = np.abs(np.array([p[0] for p in pairs]))
@@ -411,39 +381,38 @@ def _branch_supercritical_level(cfg: VerifyConfig, level: int) -> dict:
     }
 
 
+def _walk_end_and_x(cfg: VerifyConfig, level: int, rec: SeedRecord) -> tuple:
+    """Terminal index of the exact level-n walk at t, and X over its cells.
+
+    X (spacing 2^{-n/2}) is drawn only when the terminal index is nonzero;
+    otherwise every cell sum is empty and X is None.
+    """
+    steps = int(math.floor(2.0**level * cfg.t + 1e-9))
+    jstar = 2 * int(rec.derive("walk").generator().binomial(steps, 0.5)) - steps
+    if jstar == 0:
+        return 0, None
+    half = _pow2_at_least(abs(jstar) + 2)
+    return jstar, sample_fbm_two_sided(cfg.hurst, dyadic_step(level), half,
+                                       rec.derive("fbm"))
+
+
 def _branch_critical_level(cfg: VerifyConfig, level: int) -> dict:
     base = SeedRecord(cfg.seed)
-    f3 = cfg.f.derivative(3)
-    f1 = cfg.f.derivative(1)
+    f1 = _as_weight(cfg.f, 1)
     h = cfg.lhs_spacing
 
     def lhs(rep: int) -> float:
         rec = base.derive("critical-lhs", level, rep)
         y_t = math.sqrt(cfg.t) * float(rec.derive("bm").generator().standard_normal())
-        count = int(math.floor(abs(y_t) / h + 1e-12))
         half = _pow2_at_least(max(abs(y_t) + 2 * h, 4 * h) / h)
         x = sample_fbm_two_sided(cfg.hurst, h, half, rec.derive("fbm"))
         w = sample_fbm_two_sided(0.5, h, half, rec.derive("wiener"))
-        sign = 1 if y_t >= 0 else -1
-        corr = _correction_sum(f3, x.values, w.values, half, count, sign, cfg.kappa3)
+        corr = correction_integral(cfg.f, x, w, y_t, cfg.kappa3)
         return float(cfg.f(evaluate_z(x, y_t)) - cfg.f(0.0) + corr)
 
     def rhs(rep: int) -> float:
-        rec = base.derive("critical-rhs", level, rep)
-        steps = int(math.floor(2.0**level * cfg.t + 1e-9))
-        draw = int(rec.derive("walk").generator().binomial(steps, 0.5))
-        jstar = 2 * draw - steps
-        a = dyadic_step(level)
-        half = _pow2_at_least(abs(jstar) + 2)
-        x = sample_fbm_two_sided(cfg.hurst, a, half, rec.derive("fbm"))
-        if jstar == 0:
-            return 0.0
-        j = np.arange(0, jstar) if jstar > 0 else np.arange(jstar, 0)
-        x0 = x.values[j + half]
-        x1 = x.values[j + 1 + half]
-        w01 = 0.5 * (f1(x0) + f1(x1))
-        sgn = 1.0 if jstar > 0 else -1.0
-        return sgn * math.fsum((w01 * (x1 - x0)).tolist())
+        jstar, x = _walk_end_and_x(cfg, level, base.derive("critical-rhs", level, rep))
+        return 0.0 if x is None else symmetric_cell_sum(f1, x, level, jstar, 1)
 
     lhs_pool = np.array(_map_replicas(lhs, cfg.replicas, cfg.workers))
     rhs_pool = np.array(_map_replicas(rhs, cfg.replicas, cfg.workers))
@@ -457,15 +426,12 @@ def _branch_subcritical_level(cfg: VerifyConfig, level: int) -> dict:
     base = SeedRecord(cfg.seed)
 
     def one(rep: int) -> float:
-        rec = base.derive("subcritical", level, rep)
-        steps = int(math.floor(2.0**level * cfg.t + 1e-9))
-        draw = int(rec.derive("walk").generator().binomial(steps, 0.5))
-        jstar = 2 * draw - steps
-        if jstar == 0:
+        # unweighted cube sum: symmetric_cell_sum with a constant weight
+        # gives the same bits but evaluates the weight on every cell
+        jstar, x = _walk_end_and_x(cfg, level, base.derive("subcritical", level, rep))
+        if x is None:
             return 0.0
-        a = dyadic_step(level)
-        half = _pow2_at_least(abs(jstar) + 2)
-        x = sample_fbm_two_sided(cfg.hurst, a, half, rec.derive("fbm"))
+        half = x.half_extent
         j = np.arange(0, jstar) if jstar > 0 else np.arange(jstar, 0)
         d = x.values[j + 1 + half] - x.values[j + half]
         sgn = 1.0 if jstar > 0 else -1.0
@@ -499,13 +465,15 @@ def verify_branch(branch: str, config: VerifyConfig) -> VerificationReport:
         if len(config.levels) < 3:
             raise ValueError("subcritical verification needs >= 3 levels for the slope fit")
         slope, stderr = fit_log2_slope(
-            [(n, row["variance"]) for n, row in zip(config.levels, per_level)]
+            [(n, row["variance"], row["var_stderr"])
+             for n, row in zip(config.levels, per_level)]
         )
         extra = {"slope": slope, "slope_stderr": stderr,
                  "slope_target": (1.0 - 6.0 * config.hurst) / 2.0}
     elif branch == "supercritical" and len(config.levels) >= 3:
         slope, stderr = fit_log2_slope(
-            [(n, row["mean_abs"]) for n, row in zip(config.levels, per_level)]
+            [(n, row["mean_abs"], row["stderr"])
+             for n, row in zip(config.levels, per_level)]
         )
         extra = {"mean_abs_log2_slope": slope, "mean_abs_log2_slope_stderr": stderr}
     return VerificationReport(

@@ -9,16 +9,14 @@ reference for every level.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .fgn import FbmPath, HurstParameter, sample_fbm_two_sided, uniform_step
 from .skeleton import SpacingError
-from .stats import ks_one_sample_normal
+from .stats import PerLevelReport, ks_one_sample_normal
 from .streams import SeedRecord
 
 __all__ = ["ScalingReport", "power_variation", "check_quadratic", "check_cubic"]
@@ -27,7 +25,7 @@ SCALING_SCHEMA_VERSION = 1
 
 
 @dataclass
-class ScalingReport:
+class ScalingReport(PerLevelReport):
     hurst: float
     power: int
     t: float
@@ -38,33 +36,6 @@ class ScalingReport:
     seed: int
     wall_time: float = 0.0
     schema_version: int = SCALING_SCHEMA_VERSION
-
-    def body_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "hurst": self.hurst,
-            "power": self.power,
-            "t": self.t,
-            "levels": self.levels,
-            "replicas": self.replicas,
-            "per_level": self.per_level,
-            "estimated_sigma2": self.estimated_sigma2,
-            "seed": self.seed,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps({"body": self.body_dict(), "wall_time": self.wall_time},
-                          sort_keys=True, indent=2)
-
-    def save(self, file: "str | Path") -> None:
-        Path(file).write_text(self.to_json() + "\n", encoding="utf-8")
-
-    def per_level_csv(self) -> str:
-        keys = sorted({k for row in self.per_level for k in row})
-        lines = ["level," + ",".join(keys)]
-        for lev, row in zip(self.levels, self.per_level):
-            lines.append(str(lev) + "," + ",".join(repr(row.get(k, "")) for k in keys))
-        return "\n".join(lines) + "\n"
 
 
 def power_variation(path: FbmPath, power: int, level: int, t: float) -> float:

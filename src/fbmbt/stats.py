@@ -1,26 +1,30 @@
-"""Statistical plumbing: KS tests, Monte Carlo summaries, slope fits.
+"""Statistical plumbing: KS tests, Monte Carlo summaries, slope fits, and
+the serialization shared by the per-level reports.
 
-P-values use the asymptotic Kolmogorov distribution with the
-Stephens effective-size correction; the sample sizes in this package
-(hundreds to thousands) make that adequate.
+P-values use the asymptotic Kolmogorov distribution
+(``scipy.special.kolmogorov``) with the Stephens effective-size
+correction; the sample sizes in this package (hundreds to thousands) make
+that adequate.
 """
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import kolmogorov, ndtr
 
 __all__ = [
+    "PerLevelReport",
     "SampleSummary",
     "KsResult",
     "kolmogorov_sf",
     "ks_two_sample",
     "ks_one_sample_normal",
     "fit_log2_slope",
-    "mc_mean_ci",
 ]
 
 
@@ -75,18 +79,8 @@ class KsResult:
 
 
 def kolmogorov_sf(x: float) -> float:
-    """Survival function of the Kolmogorov distribution, Q(x) = 2 sum (-1)^{k-1} e^{-2k^2x^2}."""
-    if x < 1.1e-8:
-        return 1.0
-    total = 0.0
-    sign = 1.0
-    for k in range(1, 101):
-        term = math.exp(-2.0 * k * k * x * x)
-        total += sign * term
-        if term < 1e-16 * max(total, 1e-300):
-            break
-        sign = -sign
-    return min(max(2.0 * total, 0.0), 1.0)
+    """Survival function of the Kolmogorov distribution, Q(x) = P(K > x)."""
+    return float(kolmogorov(x))
 
 
 def _stephens_pvalue(d: float, en: float) -> float:
@@ -125,32 +119,60 @@ def ks_one_sample_normal(samples, mean: float = 0.0, std: float = 1.0) -> KsResu
 
 
 def fit_log2_slope(points) -> tuple:
-    """Least-squares slope of log2(v) against n, with its standard error."""
-    pts = [(float(n), float(v)) for n, v in points]
+    """Least-squares slope of log2(v) against n, with its standard error.
+
+    ``points`` are (n, v, se) triples, se the standard error of v.  The
+    points are independent, so the slope's standard error follows from the
+    fit weights and the standard error se / (v ln 2) of each log2(v).
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError("points must be (n, value, stderr) triples")
     if len(pts) < 3:
         raise ValueError("need at least 3 points")
-    n = np.array([p[0] for p in pts])
-    v = np.array([p[1] for p in pts])
+    n, v, se = pts.T
     if np.any(v <= 0):
         raise ValueError("values must be positive for a log fit")
     y = np.log2(v)
-    nbar = n.mean()
-    sxx = float(np.sum((n - nbar) ** 2))
-    slope = float(np.sum((n - nbar) * (y - y.mean())) / sxx)
-    intercept = float(y.mean() - slope * nbar)
-    resid = y - (intercept + slope * n)
-    dof = len(pts) - 2
-    sigma2 = float(np.sum(resid**2) / dof) if dof > 0 else 0.0
-    return slope, float(np.sqrt(sigma2 / sxx))
+    dev = n - n.mean()
+    sxx = float(np.sum(dev**2))
+    slope = float(np.sum(dev * (y - y.mean())) / sxx)
+    log_se = se / (v * math.log(2.0))
+    return slope, float(np.sqrt(np.sum((dev / sxx * log_se) ** 2)))
 
 
-def mc_mean_ci(samples, confidence: float = 0.95) -> tuple:
-    """Normal-approximation confidence interval: (mean, half_width)."""
-    x = np.asarray(samples, dtype=float)
-    if x.size < 2:
-        raise ValueError("need at least 2 samples")
-    if not (0.0 < confidence < 1.0):
-        raise ValueError("confidence must lie in (0, 1)")
-    z = float(ndtri(0.5 * (1.0 + confidence)))
-    stderr = float(x.std(ddof=1) / np.sqrt(x.size))
-    return float(x.mean()), z * stderr
+class PerLevelReport:
+    """JSON and CSV form of a dataclass report with one row per level.
+
+    The body holds every field but ``wall_time``, keyed by its name or by
+    its entry in ``BODY_KEYS``; it is deterministic for a fixed seed.
+    """
+
+    BODY_KEYS = {}
+
+    def body_dict(self) -> dict:
+        """Deterministic payload: everything except timing."""
+        return {self.BODY_KEYS.get(f.name, f.name): getattr(self, f.name)
+                for f in fields(self) if f.name != "wall_time"}
+
+    def to_json(self) -> str:
+        doc = {"body": self.body_dict(), "wall_time": self.wall_time}
+        return json.dumps(doc, sort_keys=True, indent=2)
+
+    def save(self, file: "str | Path") -> None:
+        Path(file).write_text(self.to_json() + "\n", encoding="utf-8")
+
+    def per_level_csv(self) -> str:
+        keys = sorted({k for row in self.per_level for k in row})
+        lines = ["level," + ",".join(keys)]
+        for lev, row in zip(self.levels, self.per_level):
+            lines.append(str(lev) + "," + ",".join(repr(row.get(k, "")) for k in keys))
+        return "\n".join(lines) + "\n"
+
+    @classmethod
+    def from_json(cls, text: str):
+        doc = json.loads(text)
+        body = doc["body"]
+        return cls(**{f.name: body[cls.BODY_KEYS.get(f.name, f.name)]
+                      for f in fields(cls) if f.name != "wall_time"},
+                   wall_time=doc.get("wall_time", 0.0))

@@ -33,11 +33,11 @@ from .skeleton import CrossingCounts, updown_difference
 
 __all__ = [
     "SmoothFunction",
-    "VariationSeries",
     "hermite",
     "odd_power_hermite_coeffs",
     "symmetric_variation_direct",
     "symmetric_variation_skeletal",
+    "symmetric_cell_sum",
     "rescaled_increment",
     "weighted_hermite_variation",
     "sine",
@@ -240,20 +240,27 @@ def symmetric_variation_direct(f: SmoothFunction, z_values, order: int) -> float
 def symmetric_variation_skeletal(f: SmoothFunction, x_grid: FbmPath,
                                  counts: CrossingCounts, order: int) -> float:
     """Cell-sum form: O(|terminal|) work via the crossing-number closed form."""
+    return symmetric_cell_sum(f, x_grid, counts.level, counts.terminal, order)
+
+
+def symmetric_cell_sum(f: SmoothFunction, x_grid: FbmPath, level: int,
+                       terminal: int, order: int) -> float:
+    """Cell sum of a level-n walk that ends at index ``terminal``.
+
+    U_j - D_j depends only on the terminal index, so no crossing counts are
+    needed: each cell between 0 and the terminal index counts once.
+    """
     _check_order(order)
-    n = counts.level
-    stride = x_grid.dyadic_stride(n)
-    jstar = counts.terminal
-    if jstar == 0:
+    stride = x_grid.dyadic_stride(level)
+    if terminal == 0:
         return 0.0
-    j = np.arange(0, jstar) if jstar > 0 else np.arange(jstar, 0)
-    needed = max(abs(jstar), 1)
-    if needed * stride > x_grid.half_extent:
+    j = np.arange(0, terminal) if terminal > 0 else np.arange(terminal, 0)
+    if abs(terminal) * stride > x_grid.half_extent:
         raise ExtentError(
             f"spatial grid covers |j| <= {x_grid.half_extent // stride}, "
-            f"need |j| <= {needed} at level {n}"
+            f"need |j| <= {abs(terminal)} at level {level}"
         )
-    sign = float(updown_difference(jstar, int(j[0])))
+    sign = float(updown_difference(terminal, int(j[0])))
     center = x_grid.half_extent
     x0 = x_grid.values[j * stride + center]
     x1 = x_grid.values[(j + 1) * stride + center]
@@ -336,31 +343,3 @@ def decompose_variation(f: SmoothFunction, x_grid: FbmPath,
         )
         out[order] = (lhs, rhs)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Reporting container
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class VariationSeries:
-    """One computed variation value with its provenance, CSV-serializable."""
-
-    order: int
-    level: int
-    horizon: float
-    value: float
-    mode: str
-    inputs: str
-    seed: int
-
-    CSV_HEADER = "order,level,horizon,mode,value,inputs,seed"
-
-    def __post_init__(self):
-        _check_order(self.order)
-        if self.mode not in ("direct", "skeletal"):
-            raise ValueError(f"mode must be direct|skeletal, got {self.mode!r}")
-
-    def to_csv_row(self) -> str:
-        return (f"{self.order},{self.level},{self.horizon!r},{self.mode},"
-                f"{self.value!r},{self.inputs},{self.seed}")

@@ -191,14 +191,9 @@ class TestAcceptance:
         decreasing = all(b < a for a, b in zip(means, means[1:]))
         end_ratio = ends[-1] / ends[0]
         halved = end_ratio <= 0.5
-        # The levels draw independent replicas, so the least-squares slope's
-        # standard error follows from its weights and the standard error of
-        # each log2(mean_abs), stderr / (mean_abs ln 2).
-        dev = np.array(cfg.levels, dtype=float) - np.mean(cfg.levels)
-        weights = dev / np.sum(dev**2)
-        log_se = np.array([row["stderr"] / (row["mean_abs"] * math.log(2.0))
-                           for row in rep.per_level])
-        slope_se = float(np.sqrt(np.sum((weights * log_se) ** 2)))
+        # The levels draw independent replicas; the report propagates each
+        # level's stderr through the least-squares weights.
+        slope_se = rep.extra["mean_abs_log2_slope_stderr"]
         slope = rep.extra["mean_abs_log2_slope"]
         target = -hurst / 4
         slope_ok = abs(slope - target) <= 3 * slope_se

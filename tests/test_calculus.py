@@ -124,6 +124,17 @@ class TestItoResidual:
         assert res == pytest.approx(expected, abs=1e-15)
 
 
+def _wiener(js):
+    """W on X's grid, drawn from the sample's own Wiener substream."""
+    return sample_fbm_two_sided(0.5, js.x.spacing, js.x.half_extent,
+                                js.seed_record.derive("wiener"))
+
+
+def _correction(f, js, t, **kwargs):
+    return correction_integral(f, js.x, _wiener(js), js.y.value_at_time(t),
+                               **kwargs)
+
+
 def _zero_clock_joint(level, hurst, seed):
     """Joint sample whose Brownian clock is identically zero."""
     rec = SeedRecord(seed)
@@ -133,24 +144,33 @@ def _zero_clock_joint(level, hurst, seed):
     sk = build_skeleton(y, level, mode="naive")
     h = dyadic_step(level)
     x = sample_fbm_two_sided(hurst, h, 8, rec.derive("fbm"))
-    w = sample_fbm_two_sided(0.5, h, 8, rec.derive("wiener"))
-    return JointSample(x=x, y=y, w=w, skeleton=sk, level=level, seed_record=rec)
+    return JointSample(x=x, y=y, skeleton=sk, level=level, seed_record=rec)
 
 
 class TestCorrectionIntegral:
     def test_vanishing_third_derivative(self):
         js = sample_joint(1 / 6, 6, 0.5, 11)
         quad = function_by_name("square")
-        assert correction_integral(quad, js, 0.5) == 0.0
+        assert _correction(quad, js, 0.5) == 0.0
 
     def test_zero_clock_empty_integral(self):
         js = _zero_clock_joint(6, 1 / 6, 12)
-        assert correction_integral(sine(), js, 0.05) == 0.0
+        assert _correction(sine(), js, 0.05) == 0.0
 
     def test_requires_critical_hurst(self):
         js = sample_joint(0.3, 6, 0.5, 13)
         with pytest.raises(ValueError, match="H = 1/6"):
-            correction_integral(sine(), js, 0.5)
+            _correction(sine(), js, 0.5)
+
+    def test_requires_brownian_w_on_the_x_grid(self):
+        js = sample_joint(1 / 6, 6, 0.5, 13)
+        y_t = js.y.value_at_time(0.5)
+        with pytest.raises(ValueError, match="H = 1/2"):
+            correction_integral(sine(), js.x, js.x, y_t)
+        coarse = sample_fbm_two_sided(0.5, 2 * js.x.spacing, js.x.half_extent,
+                                      js.seed_record.derive("wiener"))
+        with pytest.raises(ValueError, match="share their grid"):
+            correction_integral(sine(), js.x, coarse, y_t)
 
     def test_negative_clock_uses_negative_branch(self):
         js = sample_joint(1 / 6, 6, 0.5, 14)
@@ -161,9 +181,10 @@ class TestCorrectionIntegral:
         f3 = sine().derivative(3)
         j = sign * np.arange(count) + js.x.half_extent
         j1 = sign * np.arange(1, count + 1) + js.x.half_extent
+        w = _wiener(js)
         expected = (KAPPA3 / 12.0) * np.sum(
-            f3(js.x.values[j]) * (js.w.values[j1] - js.w.values[j]))
-        got = correction_integral(sine(), js, 0.5)
+            f3(js.x.values[j]) * (w.values[j1] - w.values[j]))
+        got = _correction(sine(), js, 0.5)
         assert got == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
     @pytest.mark.parametrize("fname", ["sin", "gauss", "cube"])
@@ -192,8 +213,8 @@ class TestCorrectionIntegral:
 
     def test_kappa3_scales_linearly(self):
         js = sample_joint(1 / 6, 6, 0.5, 17)
-        base = correction_integral(sine(), js, 0.5, kappa3=KAPPA3)
-        doubled = correction_integral(sine(), js, 0.5, kappa3=2 * KAPPA3)
+        base = _correction(sine(), js, 0.5, kappa3=KAPPA3)
+        doubled = _correction(sine(), js, 0.5, kappa3=2 * KAPPA3)
         assert doubled == pytest.approx(2 * base, rel=1e-12)
 
     def test_kappa3_matches_cubic_chaos_series(self):
@@ -235,6 +256,36 @@ class TestStepSixAssembly:
                     weight, z, 2 * r - 1)
             budget = c14 * float(np.sum(np.abs(np.diff(z)) ** 14)) + 1e-10
             assert abs(lhs - rhs) <= budget, seed
+
+
+class TestVerifyConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("levels", ()),
+        ("levels", (8, 6, 4)),
+        ("levels", (4, 4)),
+        ("levels", (0, 2, 4)),
+        ("levels", (4.5,)),
+        ("t", 0.0),
+        ("t", -1.0),
+        ("t", float("inf")),
+        ("t", float("nan")),
+        ("replicas", 1),
+        ("replicas", 2.5),
+        ("seed", -1),
+        ("x_refine", 0),
+        ("x_refine", 48),
+    ])
+    def test_rejects_bad_values(self, field, value):
+        kwargs = dict(hurst=0.35, f=sine(), t=1.0, levels=(4, 6), replicas=10,
+                      seed=1)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            VerifyConfig(**kwargs)
+
+    def test_accepts_valid_layout(self):
+        cfg = VerifyConfig(hurst=0.35, f=sine(), t=0.5, levels=(1, 2, 8),
+                           replicas=2, seed=0, x_refine=1)
+        assert cfg.levels == (1, 2, 8)
 
 
 class TestVerifyBranch:

@@ -121,6 +121,13 @@ class TestVerifyCommand:
                    "--levels", "8,6", "-o", str(tmp_path / "r.json"))
         assert code == 1
 
+    def test_infinite_horizon_is_usage_error(self, tmp_path, capsys):
+        code = run("verify", "--branch", "supercritical", "--hurst", "0.35",
+                   "--t", "inf", "-o", str(tmp_path / "r.json"))
+        assert code == 1
+        assert "t must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
 
 class TestScalingCommand:
     def test_quadratic_report(self, tmp_path):

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 import scipy.stats
+from scipy.special import ndtri
 
 from fbmbt.stats import (KsResult, SampleSummary, fit_log2_slope, kolmogorov_sf,
-                         ks_one_sample_normal, ks_two_sample, mc_mean_ci)
+                         ks_one_sample_normal, ks_two_sample)
 
 
 class TestKsTwoSample:
@@ -73,6 +74,11 @@ class TestKolmogorovSf:
             assert kolmogorov_sf(x) == pytest.approx(
                 scipy.stats.kstwobign.sf(x), abs=1e-10)
 
+    def test_small_distances(self):
+        # the alternating series converges too slowly below x ~ 0.03
+        for x in (1e-4, 0.01, 0.02):
+            assert kolmogorov_sf(x) == pytest.approx(1.0, abs=1e-12)
+
 
 class TestKsOneSampleNormal:
     def test_matches_scipy_kstest(self):
@@ -82,6 +88,16 @@ class TestKsOneSampleNormal:
         ref = scipy.stats.kstest(x, "norm", mode="asymp")
         assert ours.statistic == pytest.approx(ref.statistic, abs=1e-14)
 
+    def test_quantile_sample_is_not_rejected(self):
+        # D = 1/(2n) exactly: the least-rejecting sample there is
+        n = 2500
+        x = ndtri((np.arange(1, n + 1) - 0.5) / n)
+        ours = ks_one_sample_normal(x)
+        ref = scipy.stats.kstest(x, "norm")
+        assert ours.statistic == pytest.approx(0.5 / n, rel=1e-9)
+        assert ref.pvalue == pytest.approx(1.0, abs=1e-12)
+        assert ours.p_value == pytest.approx(1.0, abs=1e-12)
+
     def test_rejects_bad_std(self):
         with pytest.raises(ValueError):
             ks_one_sample_normal([1.0, 2.0], std=0.0)
@@ -89,60 +105,43 @@ class TestKsOneSampleNormal:
 
 class TestFitLog2Slope:
     def test_exact_doubling(self):
-        slope, stderr = fit_log2_slope([(n, 2.0**n) for n in range(3, 9)])
+        slope, stderr = fit_log2_slope([(n, 2.0**n, 0.0) for n in range(3, 9)])
         assert slope == pytest.approx(1.0, abs=1e-12)
         assert stderr == pytest.approx(0.0, abs=1e-12)
 
     def test_constant(self):
-        slope, _ = fit_log2_slope([(n, 3.7) for n in (2, 5, 9)])
+        slope, _ = fit_log2_slope([(n, 3.7, 0.1) for n in (2, 5, 9)])
         assert slope == pytest.approx(0.0, abs=1e-12)
 
     def test_noisy_exponent_recovered(self):
         rng = np.random.default_rng(6)
-        pts = [(n, 2.0 ** (0.2 * n) * (1 + 0.01 * rng.standard_normal()))
-               for n in range(4, 20)]
+        pts = []
+        for n in range(4, 20):
+            v = 2.0 ** (0.2 * n)
+            pts.append((n, v * (1 + 0.01 * rng.standard_normal()), 0.01 * v))
         slope, stderr = fit_log2_slope(pts)
         assert slope == pytest.approx(0.2, abs=0.02)
         assert 0 < stderr < 0.02
+        assert abs(slope - 0.2) <= 4 * stderr
+
+    def test_stderr_propagated_by_hand(self):
+        # n = 2, 4, 6 -> weights (n - 4)/8 = -1/4, 0, 1/4; log2 v = 0, 1, 3
+        slope, stderr = fit_log2_slope([(2, 1.0, 0.1), (4, 2.0, 0.3),
+                                        (6, 8.0, 0.4)])
+        assert slope == pytest.approx(0.75, abs=1e-15)
+        log_se = np.array([0.1 / 1.0, 0.3 / 2.0, 0.4 / 8.0]) / np.log(2.0)
+        expected = np.sqrt((0.25 * log_se[0]) ** 2 + (0.25 * log_se[2]) ** 2)
+        assert stderr == pytest.approx(expected, rel=1e-14)
+        # = sqrt(0.1^2 + 0.05^2) / (4 ln 2)
+        assert stderr == pytest.approx(np.sqrt(0.0125) / (4 * np.log(2.0)), rel=1e-14)
 
     def test_requires_three_positive_points(self):
         with pytest.raises(ValueError):
-            fit_log2_slope([(1, 1.0), (2, 2.0)])
+            fit_log2_slope([(1, 1.0, 0.1), (2, 2.0, 0.1)])
         with pytest.raises(ValueError):
-            fit_log2_slope([(1, 1.0), (2, -2.0), (3, 4.0)])
-
-
-class TestMcMeanCi:
-    def test_constant_samples(self):
-        mean, half = mc_mean_ci([2.0] * 50, 0.95)
-        assert mean == 2.0 and half == 0.0
-
-    def test_alternating_closed_form(self):
-        n = 1000
-        samples = np.tile([1.0, -1.0], n // 2)
-        mean, half = mc_mean_ci(samples, 0.95)
-        assert mean == 0.0
-        # sd (ddof=1) of +-1 alternation is sqrt(n/(n-1))
-        expected = 1.959963984540054 * np.sqrt(n / (n - 1)) / np.sqrt(n)
-        assert half == pytest.approx(expected, rel=1e-12)
-        assert half == pytest.approx(1.96 / np.sqrt(n), rel=2e-3)
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(ValueError):
-            mc_mean_ci([1.0], 0.95)
-        with pytest.raises(ValueError):
-            mc_mean_ci([1.0, 2.0], 1.5)
-
-    def test_coverage_calibration(self):
-        # ~95% of intervals cover the true mean over 1000 repetitions
-        rng = np.random.default_rng(7)
-        hits = 0
-        reps, n = 1000, 100
-        for _ in range(reps):
-            x = rng.standard_normal(n)
-            mean, half = mc_mean_ci(x, 0.95)
-            hits += (mean - half) <= 0.0 <= (mean + half)
-        assert abs(hits / reps - 0.95) <= 0.025
+            fit_log2_slope([(1, 1.0, 0.1), (2, -2.0, 0.1), (3, 4.0, 0.1)])
+        with pytest.raises(ValueError, match="triples"):
+            fit_log2_slope([(1, 1.0), (2, 2.0), (3, 4.0)])
 
 
 class TestSampleSummary:

@@ -10,7 +10,7 @@ from fbmbt.fgn import ExtentError, FbmPath, HurstParameter, dyadic_step, \
     sample_fbm_two_sided
 from fbmbt.skeleton import crossing_counts, sample_walk_exact
 from fbmbt.streams import SeedRecord
-from fbmbt.variations import (SmoothFunction, VariationSeries, constant_one,
+from fbmbt.variations import (constant_one,
                               cosine, decompose_variation, function_by_name,
                               gaussian_bump, hermite, odd_power_hermite_coeffs,
                               polynomial, rescaled_increment, sine,
@@ -299,19 +299,3 @@ class TestWeightedHermiteVariation:
         with pytest.raises(ExtentError):
             weighted_hermite_variation(sine(), x, 8, 1, 1.0)
 
-
-class TestVariationSeries:
-    def test_csv_row(self):
-        v = VariationSeries(order=3, level=8, horizon=1.0, value=0.25,
-                            mode="direct", inputs="seed:1", seed=1)
-        row = v.to_csv_row()
-        assert row.split(",")[:4] == ["3", "8", "1.0", "direct"]
-        assert VariationSeries.CSV_HEADER.startswith("order,level")
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            VariationSeries(order=2, level=8, horizon=1.0, value=0.0,
-                            mode="direct", inputs="", seed=0)
-        with pytest.raises(ValueError):
-            VariationSeries(order=3, level=8, horizon=1.0, value=0.0,
-                            mode="other", inputs="", seed=0)
