@@ -24,7 +24,6 @@ and solved in exact rational arithmetic.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -36,8 +35,8 @@ import numpy as np
 from .fgn import (BmPath, ExtentError, FbmPath, HurstParameter, dyadic_step,
                   extend_bm, sample_bm, sample_fbm_two_sided)
 from .skeleton import SkeletalStructure, build_skeleton
-from .stats import (PerLevelReport, SampleSummary, fit_log2_slope,
-                    ks_two_sample)
+from .stats import (PerLevelReport, SampleSummary, check_layout,
+                    fit_log2_slope, is_integral, ks_two_sample)
 from .streams import SeedRecord, as_seed_record
 from .variations import (SmoothFunction, symmetric_cell_sum,
                          symmetric_variation_direct)
@@ -314,24 +313,10 @@ class VerifyConfig:
 
     def __post_init__(self):
         HurstParameter(self.hurst)
-        levels = list(self.levels)
-        if not levels or not all(_is_int(n) for n in levels) or levels[0] < 1 \
-                or any(b <= a for a, b in zip(levels, levels[1:])):
-            raise ValueError(f"levels must be strictly increasing integers >= 1, "
-                             f"got {self.levels}")
-        if not (math.isfinite(self.t) and self.t > 0):
-            raise ValueError(f"t must be finite and > 0, got {self.t}")
-        if not (_is_int(self.replicas) and self.replicas >= 2):
-            raise ValueError(f"replicas must be an integer >= 2, got {self.replicas}")
-        if not (_is_int(self.seed) and self.seed >= 0):
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed}")
-        if not (_is_int(self.x_refine) and self.x_refine >= 1
+        check_layout(self.t, self.levels, self.replicas, self.seed)
+        if not (is_integral(self.x_refine) and self.x_refine >= 1
                 and self.x_refine & (self.x_refine - 1) == 0):
             raise ValueError(f"x_refine must be a power of two, got {self.x_refine}")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -485,12 +470,27 @@ def verify_branch(branch: str, config: VerifyConfig) -> VerificationReport:
 
 
 def evaluate_gate(report: VerificationReport, slope_tolerance: float = 0.10) -> list:
-    """Default acceptance thresholds per branch; returns failure messages."""
+    """Default acceptance thresholds per branch; returns failure messages.
+
+    Supercritical: mean_abs strictly decreases and, from three levels on,
+    its log2 slope lies within 3 standard errors of the endpoint-mismatch
+    rate -H/4 (notes/decisions.md).  ``slope_tolerance`` is the subcritical
+    band.
+    """
     failures = []
     if report.branch == "supercritical":
         means = [row["mean_abs"] for row in report.per_level]
         if any(b >= a for a, b in zip(means, means[1:])):
             failures.append(f"mean_abs not strictly decreasing: {means}")
+        if len(report.levels) >= 3:
+            slope = report.extra["mean_abs_log2_slope"]
+            band = 3 * report.extra["mean_abs_log2_slope_stderr"]
+            target = -report.hurst / 4
+            if abs(slope - target) > band:
+                failures.append(
+                    f"log2 slope of mean_abs {slope:.4f} outside "
+                    f"{target:.4f} +- {band:.4f} (3 SE)"
+                )
     elif report.branch == "critical":
         ks = [row["ks_distance"] for row in report.per_level]
         if len(ks) >= 2 and ks[-1] >= ks[0]:

@@ -159,13 +159,11 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _parse_levels(text: str) -> tuple:
+    """Comma-separated integers; the library checks their order and range."""
     try:
-        levels = tuple(int(x) for x in str(text).split(",") if x.strip())
+        return tuple(int(x) for x in str(text).split(",") if x.strip())
     except ValueError:
         raise UsageError(f"bad levels list {text!r}") from None
-    if not levels or list(levels) != sorted(set(levels)):
-        raise UsageError("levels must be strictly increasing integers")
-    return levels
 
 
 def _require_out(cfg: RunConfig, default_name: str) -> Path:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .fgn import FbmPath, HurstParameter, sample_fbm_two_sided, uniform_step
 from .skeleton import SpacingError
-from .stats import PerLevelReport, ks_one_sample_normal
+from .stats import PerLevelReport, check_layout, ks_one_sample_normal
 from .streams import SeedRecord
 
 __all__ = ["ScalingReport", "power_variation", "check_quadratic", "check_cubic"]
@@ -56,17 +56,11 @@ def power_variation(path: FbmPath, power: int, level: int, t: float) -> float:
     return float(np.sum(inc**power))
 
 
-def _levels_tuple(levels) -> list:
-    out = [int(n) for n in levels]
-    if sorted(out) != out or len(set(out)) != len(out):
-        raise ValueError("levels must be strictly increasing")
-    return out
-
-
 def check_quadratic(hurst, t: float, levels, replicas: int, seed: int) -> ScalingReport:
     """Median deviation of the normalized quadratic variation from t, per level."""
     h = HurstParameter(float(hurst))
-    levels = _levels_tuple(levels)
+    check_layout(t, levels, replicas, seed)
+    levels = [int(n) for n in levels]
     base = SeedRecord(int(seed))
     start = time.perf_counter()
     per_level = []
@@ -97,7 +91,8 @@ def check_cubic(hurst, t: float, levels, replicas: int, seed: int) -> ScalingRep
     h = HurstParameter(float(hurst))
     if not h.value < 0.5:
         raise ValueError("cubic-variation normality requires H < 1/2")
-    levels = _levels_tuple(levels)
+    check_layout(t, levels, replicas, seed)
+    levels = [int(n) for n in levels]
     base = SeedRecord(int(seed))
     start = time.perf_counter()
     stats_per_level = []

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -19,6 +20,8 @@ from scipy.special import kolmogorov, ndtr
 
 __all__ = [
     "PerLevelReport",
+    "check_layout",
+    "is_integral",
     "SampleSummary",
     "KsResult",
     "kolmogorov_sf",
@@ -139,6 +142,26 @@ def fit_log2_slope(points) -> tuple:
     slope = float(np.sum(dev * (y - y.mean())) / sxx)
     log_se = se / (v * math.log(2.0))
     return slope, float(np.sqrt(np.sum((dev / sxx * log_se) ** 2)))
+
+
+def is_integral(value) -> bool:
+    """An integer of any integral type, bool excluded."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_layout(t, levels, replicas, seed) -> None:
+    """Reject a Monte Carlo layout no per-level report can be built from."""
+    levels = list(levels)
+    if not levels or not all(is_integral(n) for n in levels) or levels[0] < 1 \
+            or any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ValueError(f"levels must be strictly increasing integers >= 1, "
+                         f"got {tuple(levels)}")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"t must be finite and > 0, got {t}")
+    if not (is_integral(replicas) and replicas >= 2):
+        raise ValueError(f"replicas must be an integer >= 2, got {replicas}")
+    if not (is_integral(seed) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed}")
 
 
 class PerLevelReport:

@@ -368,6 +368,18 @@ class TestEvaluateGate:
                            [{"mean_abs": 0.2}, {"mean_abs": 0.25}])
         assert "not strictly decreasing" in evaluate_gate(bad)[0]
 
+    def test_supercritical_slope_band(self):
+        # C7's numbers (H = 0.35, levels 8..14): slope -0.0817 against
+        # -H/4 = -0.0875 +- 3 * 0.0137
+        rows = [{"mean_abs": m} for m in (0.2758, 0.2478, 0.2289, 0.1941)]
+        ok = self._report("supercritical", rows, extra={
+            "mean_abs_log2_slope": -0.0817, "mean_abs_log2_slope_stderr": 0.0137})
+        assert evaluate_gate(ok) == []
+        flat = self._report("supercritical", rows, extra={
+            "mean_abs_log2_slope": -0.0300, "mean_abs_log2_slope_stderr": 0.0137})
+        (msg,) = evaluate_gate(flat)
+        assert "log2 slope of mean_abs -0.0300 outside -0.0875 +- 0.0411" in msg
+
     def test_critical_gate(self):
         ok = self._report("critical", [{"ks_distance": 0.06}, {"ks_distance": 0.04}])
         assert evaluate_gate(ok) == []

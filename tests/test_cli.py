@@ -140,6 +140,19 @@ class TestScalingCommand:
         errs = [row["median_abs_error"] for row in doc["body"]["per_level"]]
         assert errs[-1] < errs[0]
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--t", "inf", "t must be finite and > 0, got inf"),
+        ("--replicas", "1", "replicas must be an integer >= 2, got 1"),
+        ("--levels", "0,2", "levels must be strictly increasing integers >= 1"),
+    ])
+    def test_bad_layout_is_usage_error(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "s.json"
+        code = run("scaling", "--hurst", "0.1", "--power", "3", flag, value,
+                   "-o", str(out))
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_cubic_requires_low_hurst(self, tmp_path, capsys):
         code = run("scaling", "--hurst", "0.7", "--power", "3",
                    "-o", str(tmp_path / "s.json"))

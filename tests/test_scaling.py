@@ -64,6 +64,25 @@ class TestCheckQuadratic:
             check_quadratic(0.3, 1.0, [10, 8], 10, seed=0)
 
 
+class TestLayoutValidation:
+    @pytest.mark.parametrize("check", [check_quadratic, check_cubic])
+    @pytest.mark.parametrize("field, value", [
+        ("t", float("inf")),
+        ("t", 0.0),
+        ("replicas", 1),
+        ("replicas", 2.5),
+        ("levels", [0, 2]),
+        ("levels", [4, 4]),
+        ("levels", [4.5]),
+        ("seed", -1),
+    ])
+    def test_rejects_bad_layout(self, check, field, value):
+        kwargs = dict(hurst=0.1, t=1.0, levels=[4, 6], replicas=10, seed=0)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=rf"^{field} must"):
+            check(**kwargs)
+
+
 class TestCheckCubic:
     def test_requires_low_hurst(self):
         with pytest.raises(ValueError, match="H < 1/2"):
