@@ -7,14 +7,14 @@ Modules
 fgn         exact-covariance samplers and covariance kernels
 skeleton    dyadic hitting-time structure of the Brownian clock
 variations  Hermite machinery and symmetric weighted power variations
-calculus    change-of-variable residuals, correction integral, branch checks
+calculus    change-of-variable residuals, correction term, branch checks
 scaling     quadratic/cubic variation scaling laws for plain fBm
 stats       KS tests, Monte Carlo summaries, log2-slope fits
 cli         command-line front end (``fbmbt`` entry point)
 """
 
 from .calculus import (KAPPA3, JointSample, TaylorScheme, VerificationReport,
-                       VerifyConfig, correction_integral, evaluate_z,
+                       VerifyConfig, correction_std, evaluate_z,
                        ito_residual, sample_joint, taylor_coefficients,
                        verify_branch)
 from .fgn import (BmPath, FbmPath, HurstParameter, fbm_covariance,

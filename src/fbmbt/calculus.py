@@ -7,7 +7,8 @@ evidence:
   f(Z_t) - f(0) - V_n(f', t) tightens to zero as the level grows;
 * critical (H = 1/6): f(Z_t) - f(0) + (kappa3/12) * int_0^{Y_t} f'''(X) dW
   matches V_n(f', t) in law (two-sample KS across independent pools); W
-  is a Brownian motion independent of (X, Y), drawn for this regime only;
+  is a Brownian motion independent of (X, Y), so given X the correction
+  is one normal draw (``correction_std``), with no W path;
 * subcritical (H < 1/6): the variance of V_n^{(3)}(1, t) grows like
   2^{n(1-6H)/2}, so the symmetric sums cannot converge.
 
@@ -33,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fgn import (BmPath, ExtentError, FbmPath, HurstParameter, dyadic_step,
-                  extend_bm, sample_bm, sample_fbm_two_sided)
+                  extend_bm, floor_steps, sample_bm, sample_fbm_two_sided)
 from .skeleton import SkeletalStructure, build_skeleton
 from .stats import (PerLevelReport, SampleSummary, check_layout,
                     fit_log2_slope, is_integral, ks_two_sample)
@@ -51,7 +52,7 @@ __all__ = [
     "taylor_coefficients",
     "ito_residual",
     "ito_residual_pair",
-    "correction_integral",
+    "correction_std",
     "sample_joint",
     "verify_branch",
     "evaluate_gate",
@@ -60,6 +61,9 @@ __all__ = [
 # Correction-integral constant for the critical regime; configurable at the
 # call sites, pinned here to the published three-decimal value.
 KAPPA3 = 2.322
+
+# Cells of the unit grid on which the critical left-hand side draws X.
+LHS_CELLS = 2**13
 
 BRANCHES = ("supercritical", "critical", "subcritical")
 
@@ -75,9 +79,7 @@ class JointSample:
     """One realization of (X, Y) with the skeleton of Y at one level.
 
     x and y come from disjoint substreams of the master seed, so the two
-    processes are independent; the skeleton always derives from y.  The
-    critical formula's W, where a caller needs it, is drawn on x's grid
-    from ``seed_record.derive("wiener")``.
+    processes are independent; the skeleton always derives from y.
     """
 
     x: FbmPath
@@ -109,7 +111,7 @@ def sample_joint(hurst, level: int, t: float, seed: "int | SeedRecord", *,
     """
     record = as_seed_record(seed)
     h = HurstParameter(float(hurst) if not isinstance(hurst, HurstParameter) else hurst.value)
-    steps_needed = int(math.floor(2.0**level * t + 1e-9))
+    steps_needed = floor_steps(level, t)
     y = sample_bm(_horizon_for(level, t), 2.0 ** (-(level + 2)), record.derive("bm"))
     sk = build_skeleton(y, level, mode=mode, seed=record.derive("bridge"))
     while sk.n_steps < steps_needed:
@@ -228,7 +230,7 @@ def taylor_coefficients() -> TaylorScheme:
 # ---------------------------------------------------------------------------
 
 def _skeletal_z_values(js: JointSample, t: float) -> np.ndarray:
-    steps = int(math.floor(2.0**js.level * t + 1e-9))
+    steps = floor_steps(js.level, t)
     if js.skeleton.n_steps < steps:
         raise ExtentError(
             f"skeleton covers {js.skeleton.n_steps} steps, need {steps}"
@@ -265,31 +267,15 @@ def _as_weight(f: SmoothFunction, order: int) -> SmoothFunction:
                           derivatives=f.derivatives[order:])
 
 
-def correction_integral(f: SmoothFunction, x: FbmPath, w: FbmPath, y_t: float,
-                        kappa3: float = KAPPA3) -> float:
-    """Critical-regime bracket term (kappa3/12) int_0^{y_t} f'''(X_s) dW_s.
+def correction_std(f: SmoothFunction, x: np.ndarray, width: float,
+                   kappa3: float = KAPPA3) -> float:
+    """(kappa3/12) sqrt(width * sum_j f'''(x_j)^2), x_j at the cells' left ends.
 
-    Grid sum in the Wiener-Ito (forward) sense along the shared x/w grid
-    from 0 to y_t; for y_t < 0 the sum runs over the negative side of both
-    two-sided processes.
+    Given X, the forward sum of (kappa3/12) f'''(X) dW over the cells, W a
+    Brownian motion independent of X, is normal with mean 0 and this std.
     """
-    if x.hurst.regime != "critical":
-        raise ValueError(
-            f"correction integral is defined at H = 1/6, x has H = {x.hurst.value}"
-        )
-    if abs(w.hurst.value - 0.5) > 1e-12:
-        raise ValueError("w must be a two-sided Brownian motion (H = 1/2)")
-    if x.spacing != w.spacing or x.half_extent != w.half_extent:
-        raise ValueError("x and w must share their grid")
-    count = int(math.floor(abs(y_t) / x.spacing + 1e-12))
-    if count > x.half_extent:
-        raise ExtentError(f"grid extent {x.extent} cannot reach Y_t = {y_t}")
-    if count == 0:
-        return 0.0
-    sign = 1 if y_t >= 0 else -1
-    j = sign * np.arange(count) + x.half_extent
-    terms = f.derivative(3)(x.values[j]) * (w.values[j + sign] - w.values[j])
-    return (kappa3 / 12.0) * math.fsum(terms.tolist())
+    f3 = np.asarray(f.derivative(3)(x), dtype=float)
+    return (kappa3 / 12.0) * math.sqrt(width * math.fsum((f3 * f3).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +294,6 @@ class VerifyConfig:
     seed: int
     workers: int = 1
     x_refine: int = 64
-    lhs_spacing: float = 2.0**-13
     kappa3: float = KAPPA3
 
     def __post_init__(self):
@@ -317,6 +302,10 @@ class VerifyConfig:
         if not (is_integral(self.x_refine) and self.x_refine >= 1
                 and self.x_refine & (self.x_refine - 1) == 0):
             raise ValueError(f"x_refine must be a power of two, got {self.x_refine}")
+        if not (is_integral(self.workers) and self.workers >= 1):
+            raise ValueError(f"workers must be an integer >= 1, got {self.workers}")
+        if not math.isfinite(self.kappa3):
+            raise ValueError(f"kappa3 must be finite, got {self.kappa3}")
 
 
 @dataclass
@@ -372,7 +361,7 @@ def _walk_end_and_x(cfg: VerifyConfig, level: int, rec: SeedRecord) -> tuple:
     X (spacing 2^{-n/2}) is drawn only when the terminal index is nonzero;
     otherwise every cell sum is empty and X is None.
     """
-    steps = int(math.floor(2.0**level * cfg.t + 1e-9))
+    steps = floor_steps(level, cfg.t)
     jstar = 2 * int(rec.derive("walk").generator().binomial(steps, 0.5)) - steps
     if jstar == 0:
         return 0, None
@@ -381,19 +370,26 @@ def _walk_end_and_x(cfg: VerifyConfig, level: int, rec: SeedRecord) -> tuple:
                                        rec.derive("fbm"))
 
 
+def _critical_lhs(cfg: VerifyConfig, rec: SeedRecord) -> float:
+    """One draw of f(Z_t) - f(0) + (kappa3/12) int_0^{Y_t} f'''(X) dW."""
+    # In law, X over [Y_t, 0] is X over [0, |Y_t|], which is |Y_t|^H times
+    # X over [0, 1]; fGn is stationary, so the unit grid re-based at its left
+    # end is X on [0, 1], and Z_t is its last value (notes/decisions.md).
+    y_t = math.sqrt(cfg.t) * float(rec.derive("bm").generator().standard_normal())
+    unit = sample_fbm_two_sided(cfg.hurst, 1.0 / LHS_CELLS, LHS_CELLS // 2,
+                                rec.derive("fbm")).values
+    x = (unit - unit[0]) * abs(y_t) ** cfg.hurst
+    g = float(rec.derive("wiener").generator().standard_normal())
+    corr = correction_std(cfg.f, x[:-1], abs(y_t) / LHS_CELLS, cfg.kappa3) * g
+    return float(cfg.f(x[-1]) - cfg.f(0.0) + corr)
+
+
 def _branch_critical_level(cfg: VerifyConfig, level: int) -> dict:
     base = SeedRecord(cfg.seed)
     f1 = _as_weight(cfg.f, 1)
-    h = cfg.lhs_spacing
 
     def lhs(rep: int) -> float:
-        rec = base.derive("critical-lhs", level, rep)
-        y_t = math.sqrt(cfg.t) * float(rec.derive("bm").generator().standard_normal())
-        half = _pow2_at_least(max(abs(y_t) + 2 * h, 4 * h) / h)
-        x = sample_fbm_two_sided(cfg.hurst, h, half, rec.derive("fbm"))
-        w = sample_fbm_two_sided(0.5, h, half, rec.derive("wiener"))
-        corr = correction_integral(cfg.f, x, w, y_t, cfg.kappa3)
-        return float(cfg.f(evaluate_z(x, y_t)) - cfg.f(0.0) + corr)
+        return _critical_lhs(cfg, base.derive("critical-lhs", level, rep))
 
     def rhs(rep: int) -> float:
         jstar, x = _walk_end_and_x(cfg, level, base.derive("critical-rhs", level, rep))

@@ -123,12 +123,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _apply_config_file(args: argparse.Namespace, path: str) -> None:
-    """key=value lines override parsed flags; '#' starts a comment."""
+def _apply_config_file(parser: _Parser, args: argparse.Namespace, path: str) -> None:
+    """key=value lines override parsed flags, converted and checked as the
+    flags are; '#' starts a comment."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from exc
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in sub.choices[args.command]._actions}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -137,17 +140,19 @@ def _apply_config_file(args: argparse.Namespace, path: str) -> None:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (s.strip() for s in line.split("=", 1))
         dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+        action = actions.get(dest)
+        if action is None or not hasattr(args, dest):
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-        current = getattr(args, dest)
-        if isinstance(current, bool):
-            setattr(args, dest, value.lower() in ("1", "true", "yes", "on"))
-        elif isinstance(current, int):
-            setattr(args, dest, int(value))
-        elif isinstance(current, float):
-            setattr(args, dest, float(value))
-        else:
-            setattr(args, dest, value)
+        if isinstance(action, argparse._StoreTrueAction):
+            value = value.lower() in ("1", "true", "yes", "on")
+        elif action.type is not None:
+            try:
+                value = action.type(value)
+            except ValueError:
+                raise UsageError(f"{path}:{lineno}: invalid {key} value {value!r}") from None
+        if action.choices is not None and value not in action.choices:
+            raise UsageError(f"{path}:{lineno}: {key} must be one of {tuple(action.choices)}")
+        setattr(args, dest, value)
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
@@ -408,7 +413,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config:
-            _apply_config_file(args, args.config)
+            _apply_config_file(parser, args, args.config)
         cfg = _run_config(args)
         return _COMMANDS[cfg.command](cfg)
     except UsageError as exc:

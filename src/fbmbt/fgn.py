@@ -27,6 +27,7 @@ Brownian motion" (2004).
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -113,6 +114,13 @@ def dyadic_step(level: int) -> float:
 def uniform_step(level: int) -> float:
     """Temporal grid step 2^{-level}."""
     return float(2.0 ** (-float(level)))
+
+
+def floor_steps(level: float, t: float) -> int:
+    """floor(2^level t), snapped to an integer within 1e-9 relative."""
+    x = (2.0 ** level) * t
+    r = round(x)
+    return int(r) if abs(x - r) <= 1e-9 * max(1.0, abs(x)) else math.floor(x)
 
 
 def fbm_covariance(t, s, hurst) -> "float | np.ndarray":

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fgn import FbmPath, HurstParameter, sample_fbm_two_sided, uniform_step
+from .fgn import (FbmPath, HurstParameter, floor_steps, sample_fbm_two_sided,
+                  uniform_step)
 from .skeleton import SpacingError
 from .stats import PerLevelReport, check_layout, ks_one_sample_normal
 from .streams import SeedRecord
@@ -47,7 +48,7 @@ def power_variation(path: FbmPath, power: int, level: int, t: float) -> float:
         raise SpacingError(
             f"path spacing {path.spacing} does not equal 2^-{level} = {step}"
         )
-    k = int(np.floor(2.0**level * t + 1e-9))
+    k = floor_steps(level, t)
     if k * step > path.extent:
         raise ValueError(f"horizon {t} beyond path extent {path.extent}")
     center = path.half_extent

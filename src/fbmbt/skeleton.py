@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import erfc
 
-from .fgn import dyadic_step
+from .fgn import dyadic_step, floor_steps
 from .streams import SeedRecord, as_seed_record
 
 __all__ = [
@@ -291,20 +291,11 @@ def build_skeleton(path, level: int, mode: str = "bridge",
     )
 
 
-def _floor_steps(level: int, t: float) -> int:
-    """floor(2^n t) with a snap for float representations of integers."""
-    x = (2.0 ** level) * t
-    r = round(x)
-    if abs(x - r) <= 1e-9 * max(1.0, abs(x)):
-        return int(r)
-    return int(math.floor(x))
-
-
 def crossing_counts(sk: SkeletalStructure, t: float) -> CrossingCounts:
     """Count crossings per cell over the first floor(2^n t) walk steps."""
     if t < 0:
         raise ValueError("horizon must be nonnegative")
-    m = _floor_steps(sk.level, t)
+    m = floor_steps(sk.level, t)
     if sk.n_steps < m:
         raise InsufficientStepsError(
             f"skeleton has {sk.n_steps} steps, need {m} "

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fgn import ExtentError, FbmPath, dyadic_step
+from .fgn import ExtentError, FbmPath, dyadic_step, floor_steps
 from .skeleton import CrossingCounts, updown_difference
 
 __all__ = [
@@ -315,9 +315,7 @@ def weighted_hermite_variation(f: SmoothFunction, x_grid: FbmPath, level: int,
     """W_n^{(order)}(f, t): the + branch for t >= 0, the - branch at -t for t < 0."""
     _check_order(order)
     sign = 1 if t >= 0 else -1
-    x = (2.0 ** (level / 2.0)) * abs(t)
-    r = round(x)
-    count = int(r) if abs(x - r) <= 1e-9 * max(1.0, abs(x)) else int(math.floor(x))
+    count = floor_steps(level / 2.0, abs(t))
     return _weighted_hermite_sum(f, x_grid, level, order, count, sign)
 
 

@@ -1,4 +1,4 @@
-"""Two-point expansion, residuals, correction integral, branch verification."""
+"""Two-point expansion, residuals, correction term, branch verification."""
 
 import json
 from fractions import Fraction
@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 import sympy
 
-from fbmbt.calculus import (KAPPA3, JointSample, VerificationReport,
-                            VerifyConfig, _skeletal_z_values,
-                            correction_integral, evaluate_gate, evaluate_z,
-                            ito_residual, sample_joint, taylor_coefficients,
-                            verify_branch)
-from fbmbt.fgn import (BmPath, ExtentError, coarsen, dyadic_step,
-                       increment_autocovariance, sample_fbm_two_sided)
-from fbmbt.skeleton import build_skeleton
+from fbmbt.calculus import (KAPPA3, VerificationReport, VerifyConfig,
+                            _skeletal_z_values, correction_std, evaluate_gate,
+                            evaluate_z, ito_residual, sample_joint,
+                            taylor_coefficients, verify_branch)
+from fbmbt.fgn import (ExtentError, coarsen, increment_autocovariance,
+                       sample_fbm_two_sided)
+from fbmbt.scaling import power_variation
+from fbmbt.skeleton import crossing_counts
 from fbmbt.streams import SeedRecord
 from fbmbt.variations import function_by_name, polynomial, sine
 
@@ -123,69 +123,26 @@ class TestItoResidual:
         expected = np.sin(evaluate_z(js.x, js.y.value_at_time(t)))
         assert res == pytest.approx(expected, abs=1e-15)
 
-
-def _wiener(js):
-    """W on X's grid, drawn from the sample's own Wiener substream."""
-    return sample_fbm_two_sided(0.5, js.x.spacing, js.x.half_extent,
-                                js.seed_record.derive("wiener"))
-
-
-def _correction(f, js, t, **kwargs):
-    return correction_integral(f, js.x, _wiener(js), js.y.value_at_time(t),
-                               **kwargs)
-
-
-def _zero_clock_joint(level, hurst, seed):
-    """Joint sample whose Brownian clock is identically zero."""
-    rec = SeedRecord(seed)
-    dt = 2.0 ** (-(level + 2))
-    y = BmPath(spacing=dt, horizon=63 * dt, values=np.zeros(64),
-               seed_record=rec.derive("bm"))
-    sk = build_skeleton(y, level, mode="naive")
-    h = dyadic_step(level)
-    x = sample_fbm_two_sided(hurst, h, 8, rec.derive("fbm"))
-    return JointSample(x=x, y=y, skeleton=sk, level=level, seed_record=rec)
+    def test_step_count_shared_with_crossing_counts(self):
+        # 2^8 t lies 2.6e-9 below 256: the residual, the crossing counts and
+        # the power variation all take N = floor_steps(8, t) = 256
+        t = 1.0 - 1e-11
+        js = sample_joint(0.35, 8, 1.0, 41)
+        assert len(_skeletal_z_values(js, t)) - 1 == 256
+        assert crossing_counts(js.skeleton, t).n_steps == 256
+        path = sample_fbm_two_sided(0.35, 2.0**-8, 256, seed=42)
+        assert power_variation(path, 2, 8, t) == power_variation(path, 2, 8, 1.0)
 
 
 class TestCorrectionIntegral:
     def test_vanishing_third_derivative(self):
-        js = sample_joint(1 / 6, 6, 0.5, 11)
-        quad = function_by_name("square")
-        assert _correction(quad, js, 0.5) == 0.0
+        x = sample_fbm_two_sided(1 / 6, 2.0**-6, 64, seed=11).values
+        assert correction_std(function_by_name("square"), x, 2.0**-6) == 0.0
 
     def test_zero_clock_empty_integral(self):
-        js = _zero_clock_joint(6, 1 / 6, 12)
-        assert _correction(sine(), js, 0.05) == 0.0
-
-    def test_requires_critical_hurst(self):
-        js = sample_joint(0.3, 6, 0.5, 13)
-        with pytest.raises(ValueError, match="H = 1/6"):
-            _correction(sine(), js, 0.5)
-
-    def test_requires_brownian_w_on_the_x_grid(self):
-        js = sample_joint(1 / 6, 6, 0.5, 13)
-        y_t = js.y.value_at_time(0.5)
-        with pytest.raises(ValueError, match="H = 1/2"):
-            correction_integral(sine(), js.x, js.x, y_t)
-        coarse = sample_fbm_two_sided(0.5, 2 * js.x.spacing, js.x.half_extent,
-                                      js.seed_record.derive("wiener"))
-        with pytest.raises(ValueError, match="share their grid"):
-            correction_integral(sine(), js.x, coarse, y_t)
-
-    def test_negative_clock_uses_negative_branch(self):
-        js = sample_joint(1 / 6, 6, 0.5, 14)
-        y_t = js.y.value_at_time(0.5)
-        h = js.x.spacing
-        count = int(np.floor(abs(y_t) / h + 1e-12))
-        sign = 1 if y_t >= 0 else -1
-        f3 = sine().derivative(3)
-        j = sign * np.arange(count) + js.x.half_extent
-        j1 = sign * np.arange(1, count + 1) + js.x.half_extent
-        w = _wiener(js)
-        expected = (KAPPA3 / 12.0) * np.sum(
-            f3(js.x.values[j]) * (w.values[j1] - w.values[j]))
-        got = _correction(sine(), js, 0.5)
-        assert got == pytest.approx(expected, rel=1e-10, abs=1e-12)
+        # Y_t = 0: every cell has width 0
+        x = np.zeros(16)
+        assert correction_std(sine(), x, 0.0) == 0.0
 
     @pytest.mark.parametrize("fname", ["sin", "gauss", "cube"])
     def test_conditional_ito_isometry(self, fname):
@@ -199,22 +156,25 @@ class TestCorrectionIntegral:
         if count < 4:  # pragma: no cover - seed chosen to avoid this
             pytest.skip("clock too close to zero for a meaningful check")
         sign = 1 if y_t >= 0 else -1
-        f3 = f.derivative(3)
         idx = sign * np.arange(count) + js.x.half_extent
-        fx = np.asarray(f3(js.x.values[idx]), dtype=float)
+        x_left = js.x.values[idx]
+        fx = np.asarray(f.derivative(3)(x_left), dtype=float)
         reps = 10_000
         rng = SeedRecord(16).generator()
         dw = rng.standard_normal((reps, count)) * np.sqrt(h)
         sims = (KAPPA3 / 12.0) * (dw @ fx)
-        target_var = (KAPPA3 / 12.0) ** 2 * h * float(np.sum(fx**2))
+        target_var = correction_std(f, x_left, h) ** 2
+        assert target_var == pytest.approx(
+            (KAPPA3 / 12.0) ** 2 * h * float(np.sum(fx**2)), rel=1e-12)
         se_mean = np.sqrt(target_var / reps)
         assert abs(sims.mean()) <= 3 * se_mean
         assert abs(sims.var(ddof=1) - target_var) <= 3 * target_var * np.sqrt(2.0 / reps)
 
     def test_kappa3_scales_linearly(self):
-        js = sample_joint(1 / 6, 6, 0.5, 17)
-        base = _correction(sine(), js, 0.5, kappa3=KAPPA3)
-        doubled = _correction(sine(), js, 0.5, kappa3=2 * KAPPA3)
+        x = sample_fbm_two_sided(1 / 6, 2.0**-6, 64, seed=17).values
+        base = correction_std(sine(), x, 2.0**-6, kappa3=KAPPA3)
+        doubled = correction_std(sine(), x, 2.0**-6, kappa3=2 * KAPPA3)
+        assert base > 0
         assert doubled == pytest.approx(2 * base, rel=1e-12)
 
     def test_kappa3_matches_cubic_chaos_series(self):
@@ -274,6 +234,11 @@ class TestVerifyConfig:
         ("seed", -1),
         ("x_refine", 0),
         ("x_refine", 48),
+        ("kappa3", float("nan")),
+        ("kappa3", float("inf")),
+        ("workers", 0),
+        ("workers", -3),
+        ("workers", 1.5),
     ])
     def test_rejects_bad_values(self, field, value):
         kwargs = dict(hurst=0.35, f=sine(), t=1.0, levels=(4, 6), replicas=10,
@@ -309,7 +274,7 @@ class TestVerifyBranch:
 
     def test_critical_smoke_and_determinism(self):
         cfg = VerifyConfig(hurst=1 / 6, f=sine(), t=1.0, levels=(4,),
-                           replicas=60, seed=3, lhs_spacing=2.0**-9)
+                           replicas=60, seed=3)
         r1 = verify_branch("critical", cfg)
         r2 = verify_branch("critical", cfg)
         assert r1.body_dict() == r2.body_dict()

@@ -198,6 +198,23 @@ class TestConfigPlumbing:
         assert code == 1
         assert "unknown key" in capsys.readouterr().err
 
+    def test_config_file_converts_with_the_flag_type(self, tmp_path, capsys):
+        # --kappa3 defaults to None; its config value must still be a float
+        cfgfile = tmp_path / "k.cfg"
+        cfgfile.write_text("kappa3 = 0\n")
+        code = run("--config", str(cfgfile), "verify", "--branch", "critical",
+                   "--hurst", str(1 / 6), "--levels", "4,6", "--replicas", "20",
+                   "--no-gate", "--outdir", str(tmp_path))
+        assert code == 0, capsys.readouterr().err
+
+    def test_config_file_bad_value_is_usage_error(self, tmp_path, capsys):
+        cfgfile = tmp_path / "r.cfg"
+        cfgfile.write_text("replicas = abc\n")
+        code = run("--config", str(cfgfile), "verify", "--branch", "critical",
+                   "--hurst", str(1 / 6), "--outdir", str(tmp_path))
+        assert code == 1
+        assert "invalid replicas value 'abc'" in capsys.readouterr().err
+
     def test_relative_out_lands_in_outdir(self, tmp_path):
         code = run("generate", "--process", "bm", "--horizon", "0.5",
                    "--spacing", "0.25", "--seed", "2", "--outdir",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fbmbt.fgn import (BmPath, EmbeddingError, FbmPath, HurstParameter,
-                       coarsen, dyadic_step, fbm_covariance,
+                       coarsen, dyadic_step, fbm_covariance, floor_steps,
                        increment_autocovariance, read_path, sample_bm,
                        sample_fbm_two_sided, write_path, write_path_csv,
                        _sample_fgn)
@@ -113,6 +113,20 @@ class TestIncrementAutocovariance:
             assert expected < 1.0
             assert np.all(ratios < 0.95)
             assert np.allclose(ratios, expected, atol=0.05)
+
+
+class TestFloorSteps:
+    @pytest.mark.parametrize("level, t, expected", [
+        (8, 1.0, 256),
+        (8, 1.0 - 1e-11, 256),  # within the relative snap of 256
+        (8, 1.0 - 1e-6, 255),
+        (3, 0.3, 2),
+        (0, 2.5, 2),
+        (4, 0.0, 0),
+        (3.5, 1.0, 11),  # half levels count spatial cells 2^{-n/2}
+    ])
+    def test_counts_whole_steps(self, level, t, expected):
+        assert floor_steps(level, t) == expected
 
 
 class TestFbmSampler:

@@ -2,9 +2,9 @@
 
 Each oracle is a verbatim copy of the inline code that one shared function
 replaced: the critical branch's right-hand cell sum, the supercritical
-branch's (full, at skeleton end) residual pair, the correction integral as
-it read X and W from a joint sample, and the two report serializers.  The
-shared code must reproduce them bit for bit on seeded replicas.
+branch's (full, at skeleton end) residual pair, and the two report
+serializers.  The shared code must reproduce them bit for bit on seeded
+replicas.
 """
 
 import json
@@ -12,9 +12,8 @@ import math
 
 import numpy as np
 
-from fbmbt.calculus import (KAPPA3, VerificationReport, _as_weight,
-                            _pow2_at_least, _skeletal_z_values,
-                            correction_integral, evaluate_z, ito_residual_pair,
+from fbmbt.calculus import (VerificationReport, _as_weight, _pow2_at_least,
+                            _skeletal_z_values, evaluate_z, ito_residual_pair,
                             sample_joint, verify_branch, VerifyConfig)
 from fbmbt.fgn import dyadic_step, sample_fbm_two_sided
 from fbmbt.scaling import ScalingReport, check_cubic
@@ -50,23 +49,6 @@ def _old_supercritical_pair(f, js, t):
     full = float(f(z_t) - f(0.0) - v)
     at_end = float(f(z[-1]) - f(0.0) - v)
     return full, at_end
-
-
-def _old_correction_sum(f3, x_values, w_values, center, count, sign, kappa3):
-    if count <= 0:
-        return 0.0
-    j = sign * np.arange(count) + center
-    j1 = sign * np.arange(1, count + 1) + center
-    terms = f3(x_values[j]) * (w_values[j1] - w_values[j])
-    return (kappa3 / 12.0) * math.fsum(terms.tolist())
-
-
-def _old_correction_integral(f, x, w, y_t, kappa3=KAPPA3):
-    h = x.spacing
-    count = int(math.floor(abs(y_t) / h + 1e-12))
-    sign = 1 if y_t >= 0 else -1
-    return _old_correction_sum(f.derivative(3), x.values, w.values,
-                               x.half_extent, count, sign, kappa3)
 
 
 def _old_body(report, keys):
@@ -117,22 +99,6 @@ def test_residual_pair_matches_inline_supercritical_pair():
         js = sample_joint(0.35, 4 + rep % 3, 0.5, base.derive("replica", rep),
                           x_refine=16)
         assert ito_residual_pair(f, js, 0.5) == _old_supercritical_pair(f, js, 0.5)
-
-
-def test_correction_integral_matches_joint_sample_version():
-    base = SeedRecord(33)
-    negative = 0
-    for rep in range(REPLICAS):
-        f = function_by_name(("sin", "gauss", "cube")[rep % 3])
-        js = sample_joint(1 / 6, 4 + rep % 3, 0.5, base.derive("replica", rep),
-                          x_refine=8)
-        w = sample_fbm_two_sided(0.5, js.x.spacing, js.x.half_extent,
-                                 js.seed_record.derive("wiener"))
-        y_t = js.y.value_at_time(0.5)
-        negative += y_t < 0
-        assert correction_integral(f, js.x, w, y_t) == \
-            _old_correction_integral(f, js.x, w, y_t)
-    assert 0 < negative < REPLICAS  # both branches of the grid are covered
 
 
 def test_report_serializers_match_previous_layout(tmp_path):
