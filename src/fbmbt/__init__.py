@@ -18,7 +18,8 @@ from .calculus import (KAPPA3, JointSample, TaylorScheme, VerificationReport,
                        ito_residual, sample_joint, taylor_coefficients,
                        verify_branch)
 from .fgn import (BmPath, FbmPath, HurstParameter, fbm_covariance,
-                  increment_autocovariance, sample_bm, sample_fbm_two_sided)
+                  increment_autocovariance, sample_bm, sample_fbm_two_sided,
+                  sample_fgn)
 from .scaling import ScalingReport, check_cubic, check_quadratic, power_variation
 from .skeleton import (CrossingCounts, SkeletalStructure, build_skeleton,
                        crossing_counts, sample_walk_exact, updown_difference)

@@ -15,10 +15,11 @@ alike) form stationary fractional Gaussian noise with autocovariance
 Sampling
 --------
 Primary method: Davies-Harte circulant embedding of the increment
-sequence across the whole two-sided grid, exact whenever the embedding
-spectrum is nonnegative (always the case for fGn in practice).  Fallback
-for a defective spectrum: Cholesky of the exact Toeplitz covariance,
-restricted to desk-scale grids.
+sequence, one-sided (``sample_fgn``) or across the whole two-sided grid
+(``sample_fbm_two_sided``), exact whenever the embedding spectrum is
+nonnegative (always the case for fGn in practice).  Fallback for a
+defective spectrum: Cholesky of the exact Toeplitz covariance, restricted
+to desk-scale grids.
 
 References: Davies & Harte (1987); Dieker, "Simulation of fractional
 Brownian motion" (2004).
@@ -46,6 +47,7 @@ __all__ = [
     "ExtentError",
     "fbm_covariance",
     "increment_autocovariance",
+    "sample_fgn",
     "sample_fbm_two_sided",
     "sample_bm",
     "dyadic_step",
@@ -144,7 +146,6 @@ def increment_autocovariance(q, hurst) -> "float | np.ndarray":
 # Sampling machinery
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
 def _circulant_spectrum(n_inc: int, hvalue: float) -> np.ndarray:
     """Eigenvalues of the 2n circulant embedding the fGn Toeplitz covariance."""
     q = np.arange(n_inc + 1)
@@ -154,9 +155,9 @@ def _circulant_spectrum(n_inc: int, hvalue: float) -> np.ndarray:
     return eig
 
 
-def _sample_fgn_embedding(rng: np.random.Generator, n_inc: int, hvalue: float,
-                          size: int = 1) -> np.ndarray:
-    """``size`` rows of standardized fGn of length ``n_inc`` (exact law).
+@lru_cache(maxsize=64)
+def _embedding_weights(n_inc: int, hvalue: float) -> np.ndarray:
+    """Read-only weights sqrt(lam_0), sqrt(lam_k / 2) (0 < k < n), sqrt(lam_n).
 
     Raises EmbeddingError when the spectrum is negative beyond tolerance.
     """
@@ -168,17 +169,29 @@ def _sample_fgn_embedding(rng: np.random.Generator, n_inc: int, hvalue: float,
             f"n={n_inc}, H={hvalue}; exact embedding unavailable"
         )
     lam = np.clip(eig, 0.0, None)  # clip roundoff-level negatives
-    two_n = 2 * n_inc
+    weights = np.sqrt(lam)
+    weights[1:n_inc] = np.sqrt(lam[1:n_inc] / 2.0)
+    weights.setflags(write=False)
+    return weights
+
+
+def _sample_fgn_embedding(rng: np.random.Generator, n_inc: int, hvalue: float,
+                          size: int = 1) -> np.ndarray:
+    """``size`` rows of standardized fGn of length ``n_inc`` (exact law).
+
+    Raises EmbeddingError when the spectrum is negative beyond tolerance.
+    """
+    weights = _embedding_weights(n_inc, hvalue)
     # Hermitian half-spectrum draw: W_0, W_n real; interior complex.
     re = rng.standard_normal((size, n_inc + 1))
     im = rng.standard_normal((size, n_inc - 1))
     w = np.empty((size, n_inc + 1), dtype=complex)
-    w[:, 0] = re[:, 0] * np.sqrt(lam[0])
-    w[:, n_inc] = re[:, n_inc] * np.sqrt(lam[n_inc])
-    interior = np.sqrt(lam[1:n_inc] / 2.0)
-    w[:, 1:n_inc] = (re[:, 1:n_inc] + 1j * im) * interior
-    fgn = np.fft.irfft(w, n=two_n, axis=1)[:, :n_inc]
-    fgn *= np.sqrt(two_n)
+    np.multiply(re, weights, out=w.real)
+    w.imag[:, 0] = 0.0
+    w.imag[:, n_inc] = 0.0
+    np.multiply(im, weights[1:n_inc], out=w.imag[:, 1:n_inc])
+    fgn = np.fft.irfft(w, n=2 * n_inc, axis=1)[:, :n_inc]
+    fgn *= np.sqrt(2 * n_inc)
     return fgn
 
 
@@ -307,9 +320,39 @@ class BmPath:
         return float(self.values[self.index_at_time(t)])
 
 
+def _scaled_fgn(h: HurstParameter, spacing: float, n_inc: int,
+                record: SeedRecord, method: str) -> tuple[np.ndarray, str]:
+    """fGn increments at ``spacing`` from the record's stream, and the method."""
+    fgn, used = _sample_fgn(record.generator(), n_inc, h.value, size=1,
+                            method=method)
+    return fgn[0] * spacing**h.value, used
+
+
+def sample_fgn(hurst, spacing: float, n_inc: int,
+               seed: "int | SeedRecord") -> np.ndarray:
+    """Exact one-sided fGn: the ``n_inc`` increments of fBm at ``spacing``.
+
+    Entry ``k`` is ``X((k+1) spacing) - X(k spacing)``; for ``n_inc == 0``
+    the result is empty and nothing is drawn.
+    """
+    h = HurstParameter(_hvalue(hurst))
+    if not spacing > 0:
+        raise ValueError(f"spacing must be positive, got {spacing}")
+    n_inc = int(n_inc)
+    if n_inc < 0:
+        raise ValueError(f"n_inc must be >= 0, got {n_inc}")
+    if n_inc == 0:
+        return np.empty(0)
+    return _scaled_fgn(h, spacing, n_inc, as_seed_record(seed), "auto")[0]
+
+
 def sample_fbm_two_sided(hurst, spacing: float, half_extent: int,
                          seed: "int | SeedRecord", method: str = "auto") -> FbmPath:
-    """Exact two-sided fBm path; deterministic given the seed record."""
+    """Exact two-sided fBm path; deterministic given the seed record.
+
+    The values are the cumulative sum of ``sample_fgn`` over
+    ``2 * half_extent`` increments, re-based at the middle of the grid.
+    """
     h = HurstParameter(_hvalue(hurst))
     if not spacing > 0:
         raise ValueError(f"spacing must be positive, got {spacing}")
@@ -317,10 +360,7 @@ def sample_fbm_two_sided(hurst, spacing: float, half_extent: int,
     if half_extent < 1:
         raise ValueError(f"half_extent must be >= 1, got {half_extent}")
     record = as_seed_record(seed)
-    rng = record.generator()
-    n_inc = 2 * half_extent
-    fgn, used = _sample_fgn(rng, n_inc, h.value, size=1, method=method)
-    inc = fgn[0] * spacing**h.value
+    inc, used = _scaled_fgn(h, spacing, 2 * half_extent, record, method)
     cs = np.concatenate([[0.0], np.cumsum(inc)])
     values = cs - cs[half_extent]
     values[half_extent] = 0.0

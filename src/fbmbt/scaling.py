@@ -1,5 +1,8 @@
 """Background scaling laws for plain fBm on deterministic dyadic grids.
 
+Both checks draw the ``floor(2^n t)`` increments over [0, t] as one-sided
+fGn (``fgn.sample_fgn``), one substream per (power, level, replica).
+
 Quadratic variation: 2^{n(2H-1)} * sum (increment)^2 -> t almost surely.
 Cubic variation (H < 1/2): 2^{n(3H-1/2)} * sum (increment)^3 converges in
 law to a centered normal whose variance has no closed form here; it is
@@ -14,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fgn import (FbmPath, HurstParameter, floor_steps, sample_fbm_two_sided,
-                  uniform_step)
+from .fgn import FbmPath, HurstParameter, floor_steps, sample_fgn, uniform_step
 from .skeleton import SpacingError
 from .stats import PerLevelReport, check_layout, ks_one_sample_normal
 from .streams import SeedRecord
@@ -52,9 +54,15 @@ def power_variation(path: FbmPath, power: int, level: int, t: float) -> float:
     if k * step > path.extent:
         raise ValueError(f"horizon {t} beyond path extent {path.extent}")
     center = path.half_extent
-    seg = path.values[center: center + k + 1]
-    inc = np.diff(seg)
-    return float(np.sum(inc**power))
+    return _power_sum(np.diff(path.values[center: center + k + 1]), power)
+
+
+def _power_sum(inc: np.ndarray, power: int) -> float:
+    """sum(inc**power) by repeated multiplication; np.power calls pow per term."""
+    term = inc
+    for _ in range(power - 1):
+        term = term * inc
+    return float(np.sum(term))
 
 
 def check_quadratic(hurst, t: float, levels, replicas: int, seed: int) -> ScalingReport:
@@ -67,13 +75,12 @@ def check_quadratic(hurst, t: float, levels, replicas: int, seed: int) -> Scalin
     per_level = []
     for n in levels:
         norm = 2.0 ** (n * (2.0 * h.value - 1.0))
+        step, k = uniform_step(n), floor_steps(n, t)
         devs = np.empty(replicas)
         raw = np.empty(replicas)
         for rep in range(replicas):
-            path = sample_fbm_two_sided(
-                h, uniform_step(n), int(np.ceil(2.0**n * t)),
-                base.derive("scaling", 2, n, rep))
-            pv = power_variation(path, 2, n, t)
+            inc = sample_fgn(h, step, k, base.derive("scaling", 2, n, rep))
+            pv = _power_sum(inc, 2)
             raw[rep] = pv
             devs[rep] = abs(norm * pv - t)
         per_level.append({
@@ -94,18 +101,21 @@ def check_cubic(hurst, t: float, levels, replicas: int, seed: int) -> ScalingRep
         raise ValueError("cubic-variation normality requires H < 1/2")
     check_layout(t, levels, replicas, seed)
     levels = [int(n) for n in levels]
+    if floor_steps(levels[-1], t) == 0:
+        raise ValueError(
+            f"t = {t} leaves no increment at the top level {levels[-1]} "
+            f"(floor(2^{levels[-1]} t) = 0), so the reference variance is 0")
     base = SeedRecord(int(seed))
     start = time.perf_counter()
     stats_per_level = []
     samples_per_level = []
     for n in levels:
         norm = 2.0 ** (n * (3.0 * h.value - 0.5))
+        step, k = uniform_step(n), floor_steps(n, t)
         vals = np.empty(replicas)
         for rep in range(replicas):
-            path = sample_fbm_two_sided(
-                h, uniform_step(n), int(np.ceil(2.0**n * t)),
-                base.derive("scaling", 3, n, rep))
-            vals[rep] = norm * power_variation(path, 3, n, t)
+            inc = sample_fgn(h, step, k, base.derive("scaling", 3, n, rep))
+            vals[rep] = norm * _power_sum(inc, 3)
         samples_per_level.append(vals)
         stats_per_level.append({"mean": float(vals.mean()),
                                 "variance": float(vals.var(ddof=1))})

@@ -153,6 +153,16 @@ class TestScalingCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_cubic_without_increments_is_usage_error(self, tmp_path, capsys):
+        # floor(2^2 * 0.1) = 0: the top level holds no increment
+        out = tmp_path / "s.json"
+        code = run("scaling", "--hurst", "0.1", "--power", "3", "--t", "0.1",
+                   "--levels", "1,2", "--replicas", "5", "-o", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "t = 0.1 leaves no increment at the top level 2" in err
+        assert not out.exists()
+
     def test_cubic_requires_low_hurst(self, tmp_path, capsys):
         code = run("scaling", "--hurst", "0.7", "--power", "3",
                    "-o", str(tmp_path / "s.json"))

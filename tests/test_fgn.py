@@ -4,12 +4,51 @@ import mpmath
 import numpy as np
 import pytest
 
+import fbmbt.fgn as fgn_mod
 from fbmbt.fgn import (BmPath, EmbeddingError, FbmPath, HurstParameter,
                        coarsen, dyadic_step, fbm_covariance, floor_steps,
                        increment_autocovariance, read_path, sample_bm,
-                       sample_fbm_two_sided, write_path, write_path_csv,
-                       _sample_fgn)
+                       sample_fbm_two_sided, sample_fgn, write_path,
+                       write_path_csv, _sample_fgn)
 from fbmbt.streams import SeedRecord
+
+
+def _old_sample_fgn_embedding(rng, n_inc, hvalue, size=1):
+    """The embedding kernel before its weights were cached, kept verbatim."""
+    eig = fgn_mod._circulant_spectrum(n_inc, hvalue)
+    neg = eig.min()
+    if neg < -1e-8 * eig.max():
+        raise EmbeddingError(
+            f"circulant spectrum has eigenvalue {neg:.3e} (min) for "
+            f"n={n_inc}, H={hvalue}; exact embedding unavailable"
+        )
+    lam = np.clip(eig, 0.0, None)  # clip roundoff-level negatives
+    two_n = 2 * n_inc
+    # Hermitian half-spectrum draw: W_0, W_n real; interior complex.
+    re = rng.standard_normal((size, n_inc + 1))
+    im = rng.standard_normal((size, n_inc - 1))
+    w = np.empty((size, n_inc + 1), dtype=complex)
+    w[:, 0] = re[:, 0] * np.sqrt(lam[0])
+    w[:, n_inc] = re[:, n_inc] * np.sqrt(lam[n_inc])
+    interior = np.sqrt(lam[1:n_inc] / 2.0)
+    w[:, 1:n_inc] = (re[:, 1:n_inc] + 1j * im) * interior
+    fgn = np.fft.irfft(w, n=two_n, axis=1)[:, :n_inc]
+    fgn *= np.sqrt(two_n)
+    return fgn
+
+
+@pytest.fixture
+def defective_spectrum(monkeypatch):
+    """A spectrum with a negative eigenvalue, with no cached weights around it."""
+    def bad_spectrum(n_inc, hvalue):
+        eig = np.ones(n_inc + 1)
+        eig[-1] = -1.0
+        return eig
+
+    fgn_mod._embedding_weights.cache_clear()
+    monkeypatch.setattr(fgn_mod, "_circulant_spectrum", bad_spectrum)
+    yield
+    fgn_mod._embedding_weights.cache_clear()
 
 
 def _mp_cov(t, s, h):
@@ -209,15 +248,7 @@ class TestFbmSampler:
         with pytest.raises(EmbeddingError):
             _sample_fgn(rng, 2**13, 0.3, method="cholesky")
 
-    def test_fallback_on_defective_spectrum(self, monkeypatch):
-        import fbmbt.fgn as fgn_mod
-
-        def bad_spectrum(n_inc, hvalue):
-            eig = np.ones(n_inc + 1)
-            eig[-1] = -1.0
-            return eig
-
-        monkeypatch.setattr(fgn_mod, "_circulant_spectrum", bad_spectrum)
+    def test_fallback_on_defective_spectrum(self, defective_spectrum):
         with pytest.warns(RuntimeWarning, match="falling back"):
             p = sample_fbm_two_sided(0.3, 0.1, 8, seed=5)
         assert p.method == "cholesky"
@@ -238,6 +269,84 @@ class TestFbmSampler:
         assert p_odd.dyadic_stride(7) == 8
         with pytest.raises(ValueError):
             p.dyadic_stride(9)
+
+
+class TestEmbeddingKernel:
+    @pytest.mark.parametrize("h", [0.1, 1 / 6, 0.35, 0.75])
+    @pytest.mark.parametrize("n_inc", [1, 2, 3, 7, 16, 255, 256, 2**13, 2**14])
+    def test_rows_match_uncached_kernel(self, n_inc, h):
+        for size in (1, 3):
+            seed = SeedRecord(40).derive("fbm", n_inc, size)
+            new = fgn_mod._sample_fgn_embedding(seed.generator(), n_inc, h, size)
+            old = _old_sample_fgn_embedding(seed.generator(), n_inc, h, size)
+            assert new.shape == (size, n_inc)
+            np.testing.assert_array_equal(new, old)
+
+    def test_defective_spectrum_raises(self, defective_spectrum):
+        rng = SeedRecord(41).generator()
+        for n_inc in (8, 16):
+            with pytest.raises(EmbeddingError, match="eigenvalue"):
+                fgn_mod._sample_fgn_embedding(rng, n_inc, 0.3)
+            with pytest.raises(EmbeddingError):
+                _sample_fgn(rng, n_inc, 0.3, method="embedding")
+
+    def test_auto_falls_back_to_cholesky(self, defective_spectrum):
+        rng = SeedRecord(42).generator()
+        with pytest.warns(RuntimeWarning, match="falling back"):
+            fgn, used = _sample_fgn(rng, 16, 0.3, size=2)
+        assert used == "cholesky"
+        assert fgn.shape == (2, 16)
+
+    def test_cached_weights_are_read_only(self):
+        weights = fgn_mod._embedding_weights(64, 0.3)
+        assert not weights.flags.writeable
+        with pytest.raises(ValueError):
+            weights[0] = 0.0
+        assert fgn_mod._embedding_weights(64, 0.3) is weights
+
+
+class TestOneSidedFgn:
+    @pytest.mark.parametrize("h, spacing, half", [
+        (0.3, 0.5, 128), (1 / 6, 2.0**-10, 1), (0.75, 0.01, 4096),
+    ])
+    def test_two_sided_path_is_its_cumulative_sum(self, h, spacing, half):
+        seed = SeedRecord(50).derive("fbm", half)
+        inc = sample_fgn(h, spacing, 2 * half, seed)
+        cs = np.concatenate([[0.0], np.cumsum(inc)])
+        values = cs - cs[half]
+        values[half] = 0.0
+        path = sample_fbm_two_sided(h, spacing, half, seed)
+        np.testing.assert_array_equal(path.values, values)
+
+    @pytest.mark.parametrize("h", [0.1, 1 / 6, 0.35, 0.75])
+    def test_autocovariance_matches_rho(self, h):
+        # E[inc_i inc_j] = spacing^{2H} rho(i - j), 4 SE per entry
+        reps, n_inc, spacing = 20_000, 6, 0.25
+        base = SeedRecord(51)
+        rows = np.array([sample_fgn(h, spacing, n_inc, base.derive("fbm", r))
+                         for r in range(reps)])
+        lags = np.arange(n_inc)[:, None] - np.arange(n_inc)[None, :]
+        expected = spacing ** (2 * h) * increment_autocovariance(lags, h)
+        emp = (rows.T @ rows) / reps
+        var = spacing ** (2 * h)
+        se = np.sqrt((var**2 + expected**2) / reps)
+        assert np.all(np.abs(emp - expected) <= 4 * se)
+
+    def test_empty_draw_uses_no_stream(self, monkeypatch):
+        def no_draw(self):
+            raise AssertionError("a zero-length draw opened a generator")
+
+        monkeypatch.setattr(SeedRecord, "generator", no_draw)
+        inc = sample_fgn(0.3, 0.1, 0, SeedRecord(52))
+        assert inc.shape == (0,)
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError, match="spacing"):
+            sample_fgn(0.3, 0.0, 4, seed=0)
+        with pytest.raises(ValueError, match="n_inc"):
+            sample_fgn(0.3, 0.1, -1, seed=0)
+        with pytest.raises(ValueError, match="Hurst"):
+            sample_fgn(1.0, 0.1, 4, seed=0)
 
 
 class TestBmSampler:

@@ -1,5 +1,7 @@
-"""Declared dependencies match what the package imports."""
+"""Declared dependencies match what the package imports, and every
+module-level import is used."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -19,3 +21,40 @@ def test_every_dependency_is_imported():
         pattern = rf"^\s*(import|from)\s+{re.escape(module)}\b"
         assert re.search(pattern, source, re.MULTILINE), \
             f"{requirement!r} is declared but src/fbmbt never imports {module}"
+
+
+def _annotation_names(tree):
+    """Names in string annotations such as ``"int | SeedRecord"``."""
+    nodes = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            nodes += [a.annotation for a in args.posonlyargs + args.args
+                      + args.kwonlyargs + [args.vararg, args.kwarg] if a]
+            nodes.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            nodes.append(node.annotation)
+    names = set()
+    for ann in nodes:
+        if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+            names |= {n.id for n in ast.walk(ast.parse(ann.value, mode="eval"))
+                      if isinstance(n, ast.Name)}
+    return names
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in (ROOT / "src" / "fbmbt").glob("*.py") if p.name != "__init__.py"))
+def test_every_module_import_is_used(module):
+    tree = ast.parse((ROOT / "src" / "fbmbt" / module).read_text())
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = alias.name
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used |= _annotation_names(tree)
+    unused = sorted(set(imported) - used)
+    assert not unused, f"src/fbmbt/{module} imports {unused} but never uses them"

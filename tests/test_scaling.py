@@ -1,9 +1,12 @@
 """Quadratic and cubic variation scaling for plain fBm."""
 
+import math
+
 import numpy as np
 import pytest
 
-from fbmbt.fgn import FbmPath, HurstParameter, sample_fbm_two_sided, uniform_step
+from fbmbt.fgn import (FbmPath, HurstParameter, floor_steps, sample_fbm_two_sided,
+                       sample_fgn, uniform_step)
 from fbmbt.scaling import check_cubic, check_quadratic, power_variation
 from fbmbt.skeleton import SpacingError
 from fbmbt.streams import SeedRecord
@@ -34,6 +37,15 @@ class TestPowerVariation:
         qv = power_variation(path, 2, n, 1.0)
         assert abs(qv - 1.0) < 0.05
 
+    @pytest.mark.parametrize("power", [1, 2, 3, 4, 5])
+    def test_matches_exact_sum_of_powers(self, power):
+        n, t = 9, 0.75
+        path = sample_fbm_two_sided(1 / 6, uniform_step(n), 2**n, seed=60 + power)
+        k = floor_steps(n, t)
+        inc = np.diff(path.values[path.half_extent: path.half_extent + k + 1])
+        exact = math.fsum((inc**power).tolist())
+        assert power_variation(path, power, n, t) == pytest.approx(exact, rel=1e-12)
+
     def test_cubic_mean_vanishes(self):
         # odd moments of centered Gaussian increments
         n, reps = 10, 300
@@ -62,6 +74,14 @@ class TestCheckQuadratic:
     def test_levels_validated(self):
         with pytest.raises(ValueError):
             check_quadratic(0.3, 1.0, [10, 8], 10, seed=0)
+
+    def test_zero_step_levels_report_empty_sums(self):
+        # floor(2^n 0.1) = 0 at levels 1 and 2, 1 at level 4
+        report = check_quadratic(0.3, 0.1, [1, 2, 4], 5, seed=0)
+        for row in report.per_level[:2]:
+            assert row["mean_unnormalized"] == 0.0
+            assert row["median_abs_error"] == 0.1
+        assert report.per_level[2]["mean_unnormalized"] > 0.0
 
 
 class TestLayoutValidation:
@@ -105,6 +125,32 @@ class TestCheckCubic:
         s2a, s2b = small.estimated_sigma2, large.estimated_sigma2
         tol = 3 * s2a * np.sqrt(2.5 / 400)
         assert abs(s2a - s2b) <= tol
+
+    def test_zero_step_top_level_rejected(self):
+        with pytest.raises(ValueError, match=r"t = 0\.1 .* top level 2"):
+            check_cubic(1 / 6, 0.1, [1, 2], 5, 0)
+
+    @pytest.mark.parametrize("t", [1.0, 0.6])
+    def test_replicas_are_one_sided_fgn_draws(self, t):
+        # pins the draw and its substream: derive("scaling", power, n, rep)
+        h, levels, replicas, seed = 1 / 6, [5, 7], 6, 61
+        base = SeedRecord(seed)
+
+        def draws(power, n):
+            return [sample_fgn(h, 2.0**-n, floor_steps(n, t),
+                               base.derive("scaling", power, n, rep))
+                    for rep in range(replicas)]
+
+        cubic = check_cubic(h, t, levels, replicas, seed)
+        quadratic = check_quadratic(h, t, levels, replicas, seed)
+        for n, c_row, q_row in zip(levels, cubic.per_level, quadratic.per_level):
+            norm = 2.0 ** (n * (3.0 * h - 0.5))
+            vals = np.array([norm * float(np.sum(inc * inc * inc))
+                             for inc in draws(3, n)])
+            assert c_row["mean"] == float(vals.mean())
+            assert c_row["variance"] == float(vals.var(ddof=1))
+            raw = np.array([float(np.sum(inc * inc)) for inc in draws(2, n)])
+            assert q_row["mean_unnormalized"] == float(np.mean(raw))
 
     def test_ks_columns_present(self):
         report = check_cubic(0.2, 1.0, [8, 10, 12], 200, seed=13)

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbmbt.fgn import ExtentError, FbmPath, HurstParameter, dyadic_step, \
     sample_fbm_two_sided
@@ -14,7 +16,7 @@ from fbmbt.variations import (constant_one,
                               cosine, decompose_variation, function_by_name,
                               gaussian_bump, hermite, odd_power_hermite_coeffs,
                               polynomial, rescaled_increment, sine,
-                              symmetric_variation_direct,
+                              symmetric_cell_sum, symmetric_variation_direct,
                               symmetric_variation_skeletal,
                               weighted_hermite_variation)
 
@@ -221,6 +223,23 @@ class TestSkeletalVariation:
         v = symmetric_variation_skeletal(constant_one(), x, cc, 1)
         expected = x.values[cc.terminal * x.dyadic_stride(5) + x.half_extent]
         assert v == pytest.approx(expected, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=200),
+       order=st.sampled_from([1, 3, 5]),
+       name=st.sampled_from(["sin", "gauss", "cube"]),
+       level=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_cell_sum_identity_on_random_walks(steps, order, name, level, seed):
+    # a +-1 walk crosses every cell between 0 and its end once more in one
+    # direction than the other; all other crossings cancel term by term
+    walk = np.concatenate([[0], np.cumsum(steps)])
+    x = sample_fbm_two_sided(0.3, dyadic_step(level),
+                             int(np.max(np.abs(walk))) + 1, seed=seed)
+    f = function_by_name(name)
+    direct = symmetric_variation_direct(f, x.values[walk + x.half_extent], order)
+    cell = symmetric_cell_sum(f, x, level, int(walk[-1]), order)
+    assert abs(direct - cell) <= max(1e-9 * max(abs(direct), abs(cell)), 1e-12)
 
 
 class TestRescaledIncrement:
