@@ -14,9 +14,8 @@ cli         command-line front end (``fbmbt`` entry point)
 """
 
 from .calculus import (KAPPA3, JointSample, TaylorScheme, VerificationReport,
-                       VerifyConfig, correction_std, evaluate_z,
-                       ito_residual, sample_joint, taylor_coefficients,
-                       verify_branch)
+                       VerifyConfig, correction_std, ito_residual,
+                       sample_joint, taylor_coefficients, verify_branch)
 from .fgn import (BmPath, FbmPath, HurstParameter, fbm_covariance,
                   increment_autocovariance, sample_bm, sample_fbm_two_sided,
                   sample_fgn)

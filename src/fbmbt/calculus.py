@@ -34,13 +34,13 @@ from functools import lru_cache
 import numpy as np
 
 from .fgn import (BmPath, ExtentError, FbmPath, HurstParameter, dyadic_step,
-                  extend_bm, floor_steps, sample_bm, sample_fbm_two_sided)
+                  extend_bm, floor_steps, increment_autocovariance, sample_bm,
+                  sample_fbm_two_sided)
 from .skeleton import SkeletalStructure, build_skeleton
 from .stats import (PerLevelReport, SampleSummary, check_layout,
                     fit_log2_slope, is_integral, ks_two_sample)
 from .streams import SeedRecord, as_seed_record
-from .variations import (SmoothFunction, symmetric_cell_sum,
-                         symmetric_variation_direct)
+from .variations import SmoothFunction, symmetric_cell_sum
 
 __all__ = [
     "KAPPA3",
@@ -48,7 +48,6 @@ __all__ = [
     "TaylorScheme",
     "VerifyConfig",
     "VerificationReport",
-    "evaluate_z",
     "taylor_coefficients",
     "ito_residual",
     "ito_residual_pair",
@@ -79,7 +78,9 @@ class JointSample:
     """One realization of (X, Y) with the skeleton of Y at one level.
 
     x and y come from disjoint substreams of the master seed, so the two
-    processes are independent; the skeleton always derives from y.
+    processes are independent; the skeleton always derives from y.  x lives
+    on the level's own grid, spacing 2^{-n/2}; y_t = Y_t and z_t = X(Y_t)
+    belong to the horizon t.
     """
 
     x: FbmPath
@@ -87,10 +88,17 @@ class JointSample:
     skeleton: SkeletalStructure
     level: int
     seed_record: SeedRecord
+    t: float
+    y_t: float
+    z_t: float
 
     def __post_init__(self):
         if self.skeleton.level != self.level:
             raise ValueError("skeleton level disagrees with sample level")
+        if self.x.spacing != dyadic_step(self.level):
+            raise ValueError("X grid spacing is not the level's step 2^{-n/2}")
+        if self.skeleton.n_steps < floor_steps(self.level, self.t):
+            raise ValueError("skeleton does not reach floor(2^n t) steps")
 
 
 def _horizon_for(level: int, t: float) -> float:
@@ -102,12 +110,55 @@ def _pow2_at_least(x: float) -> int:
     return 1 << max(0, int(math.ceil(math.log2(max(x, 1.0)))))
 
 
-def sample_joint(hurst, level: int, t: float, seed: "int | SeedRecord", *,
-                 mode: str = "bridge", x_refine: int = 64) -> JointSample:
-    """Draw (X, Y, skeleton) adequate for horizon t at the given level.
+def _clock_at(y: BmPath, t: float, record: SeedRecord) -> float:
+    """Y_t: the sample when t is a sample time, else a Brownian-bridge draw
+    between the two samples around t."""
+    u = t / y.spacing
+    i = round(u)
+    if abs(u - i) <= 1e-9 * max(1.0, u):
+        return float(y.values[i])
+    i = math.floor(u)
+    frac = u - i
+    g = float(record.generator().standard_normal())
+    return float(y.values[i] + frac * (y.values[i + 1] - y.values[i])
+                 + math.sqrt(frac * (1.0 - frac) * y.spacing) * g)
 
-    The spatial grids adapt to the realized walk range and |Y_t| (rounded up
-    to a power of two so embedding spectra are shared across replicas).
+
+def _x_conditional(x: FbmPath, y: float) -> tuple:
+    """Mean and std of X(y) given every increment of the grid x.
+
+    In grid units (s = y/spacing, r = floor(s)) the standardized increment
+    X(s) - X(r) has covariance c_k with the k-th grid increment and variance
+    (s - r)^{2H}; the increments have the Toeplitz covariance rho(0..2M-1).
+    notes/decisions.md has the derivation.
+    """
+    # scipy.linalg costs about 0.06 s and 5.6 MB to import, and only the
+    # supercritical branch needs it, so it is loaded on first use.
+    from scipy.linalg import solve_toeplitz
+
+    h2 = 2.0 * x.hurst.value
+    m = x.half_extent
+    s = y / x.spacing
+    r = math.floor(s)
+    # c_k = (g(p_k) - g(q_k))/2 on the grid points p_k = k - M, q_k = p_k + 1;
+    # it is exactly 0 when s == r, so an on-grid y gives the grid value
+    u = np.arange(-m, m + 1, dtype=float)
+    g = np.abs(s - u) ** h2 - np.abs(r - u) ** h2
+    c = 0.5 * (g[:-1] - g[1:])
+    w = solve_toeplitz(increment_autocovariance(np.arange(2 * m), x.hurst), c)
+    mean = float(x.values[r + m]) + float(w @ np.diff(x.values))
+    std = x.spacing ** x.hurst.value * math.sqrt(max((s - r) ** h2 - float(w @ c), 0.0))
+    return mean, std
+
+
+def sample_joint(hurst, level: int, t: float, seed: "int | SeedRecord", *,
+                 mode: str = "bridge") -> JointSample:
+    """Draw (X, Y, skeleton) and Z_t = X(Y_t) for horizon t at the given level.
+
+    X is drawn on the level's grid, sized to the realized walk range and
+    |Y_t| (rounded up to a power of two so embedding spectra are shared
+    across replicas).  Y_t and then Z_t are exact draws given the sampled
+    paths, each from a substream of its own.
     """
     record = as_seed_record(seed)
     h = HurstParameter(float(hurst) if not isinstance(hurst, HurstParameter) else hurst.value)
@@ -118,23 +169,14 @@ def sample_joint(hurst, level: int, t: float, seed: "int | SeedRecord", *,
         y = extend_bm(y, y.horizon * 1.5)
         sk = build_skeleton(y, level, mode=mode, seed=record.derive("bridge"))
     a = dyadic_step(level)
-    spacing = a / x_refine
-    y_t = y.value_at_time(t)
+    y_t = _clock_at(y, t, record.derive("bm", 1))
     walk_reach = int(np.max(np.abs(sk.walk[: steps_needed + 1]))) + 1 if steps_needed else 1
-    need = max(walk_reach * a, abs(y_t) + 2 * spacing, 4 * spacing)
-    half_extent = _pow2_at_least(need / spacing)
-    x = sample_fbm_two_sided(h, spacing, half_extent, record.derive("fbm"))
-    return JointSample(x=x, y=y, skeleton=sk, level=level, seed_record=record)
-
-
-def evaluate_z(x: FbmPath, y_value: float) -> float:
-    """Z at a Brownian position: X snapped to the nearest grid point.
-
-    Snapping (rather than interpolating) keeps the evaluation a true sample
-    of the rough path; the value error is O(h^H sqrt(2 ln(1/h))) for grid
-    step h.
-    """
-    return x.value_at_time(y_value)
+    need = max(walk_reach * a, abs(y_t) + 2 * a, 4 * a)
+    x = sample_fbm_two_sided(h, a, _pow2_at_least(need / a), record.derive("fbm"))
+    mean, std = _x_conditional(x, y_t)
+    z_t = mean + std * float(record.derive("fbm", 1).generator().standard_normal())
+    return JointSample(x=x, y=y, skeleton=sk, level=level, seed_record=record,
+                       t=float(t), y_t=y_t, z_t=z_t)
 
 
 # ---------------------------------------------------------------------------
@@ -235,30 +277,29 @@ def _skeletal_z_values(js: JointSample, t: float) -> np.ndarray:
         raise ExtentError(
             f"skeleton covers {js.skeleton.n_steps} steps, need {steps}"
         )
-    stride = js.x.dyadic_stride(js.level)
-    idx = js.skeleton.walk[: steps + 1] * stride + js.x.half_extent
+    idx = js.skeleton.walk[: steps + 1] + js.x.half_extent
     if idx.min() < 0 or idx.max() >= len(js.x.values):
         raise ExtentError("spatial grid does not cover the walk range")
     return js.x.values[idx]
 
 
-def ito_residual_pair(f: SmoothFunction, js: JointSample, t: float) -> tuple:
-    """(f(Z_t) - f(0) - V_n(f', t), f(Z_{T_N}) - f(0) - V_n(f', t)).
+def ito_residual_pair(f: SmoothFunction, js: JointSample) -> tuple:
+    """(f(Z_t) - f(0) - V_n(f', t), f(Z_{T_N}) - f(0) - V_n(f', t)) at js.t.
 
     T_N is the last skeletal time, N = floor(2^n t).  The first entry is
     the supercritical-formula defect; the second is its Taylor remainder at
-    T_N, without the endpoint mismatch f(Z_t) - f(Z_{T_N}).
+    T_N, without the endpoint mismatch f(Z_t) - f(Z_{T_N}).  V_n is the
+    cell sum up to the walk's index at T_N (criterion 1's identity).
     """
-    z = _skeletal_z_values(js, t)
-    # fewer than one full step: the variation is an empty sum
-    v = symmetric_variation_direct(_as_weight(f, 1), z, 1) if len(z) > 1 else 0.0
-    z_t = evaluate_z(js.x, js.y.value_at_time(t))
-    return float(f(z_t) - f(0.0) - v), float(f(z[-1]) - f(0.0) - v)
+    terminal = int(js.skeleton.walk[floor_steps(js.level, js.t)])
+    v = symmetric_cell_sum(_as_weight(f, 1), js.x, js.level, terminal, 1)
+    z_end = js.x.values[terminal + js.x.half_extent]
+    return float(f(js.z_t) - f(0.0) - v), float(f(z_end) - f(0.0) - v)
 
 
-def ito_residual(f: SmoothFunction, js: JointSample, t: float) -> float:
-    """f(Z_t) - f(0) - V_n(f', t), the supercritical-formula defect."""
-    return ito_residual_pair(f, js, t)[0]
+def ito_residual(f: SmoothFunction, js: JointSample) -> float:
+    """f(Z_t) - f(0) - V_n(f', t) at js.t, the supercritical-formula defect."""
+    return ito_residual_pair(f, js)[0]
 
 
 def _as_weight(f: SmoothFunction, order: int) -> SmoothFunction:
@@ -293,15 +334,11 @@ class VerifyConfig:
     replicas: int
     seed: int
     workers: int = 1
-    x_refine: int = 64
     kappa3: float = KAPPA3
 
     def __post_init__(self):
         HurstParameter(self.hurst)
         check_layout(self.t, self.levels, self.replicas, self.seed)
-        if not (is_integral(self.x_refine) and self.x_refine >= 1
-                and self.x_refine & (self.x_refine - 1) == 0):
-            raise ValueError(f"x_refine must be a power of two, got {self.x_refine}")
         if not (is_integral(self.workers) and self.workers >= 1):
             raise ValueError(f"workers must be an integer >= 1, got {self.workers}")
         if not math.isfinite(self.kappa3):
@@ -339,9 +376,8 @@ def _branch_supercritical_level(cfg: VerifyConfig, level: int) -> dict:
 
     def one(rep: int) -> tuple:
         js = sample_joint(cfg.hurst, level, cfg.t,
-                          base.derive("supercritical", level, rep),
-                          x_refine=cfg.x_refine)
-        return ito_residual_pair(cfg.f, js, cfg.t)
+                          base.derive("supercritical", level, rep))
+        return ito_residual_pair(cfg.f, js)
 
     pairs = _map_replicas(one, cfg.replicas, cfg.workers)
     res = np.abs(np.array([p[0] for p in pairs]))

@@ -100,7 +100,6 @@ def _build_parser() -> _Parser:
                    help="comma-separated increasing levels")
     v.add_argument("--replicas", type=int, default=500)
     v.add_argument("--workers", type=int, default=1)
-    v.add_argument("--x-refine", type=int, default=64)
     v.add_argument("--kappa3", type=float, default=None)
     v.add_argument("--slope-tolerance", type=float, default=0.10)
     v.add_argument("--csv", default=None,
@@ -247,7 +246,6 @@ def cmd_verify(cfg: RunConfig) -> int:
         vc = calculus.VerifyConfig(
             hurst=p["hurst"], f=f, t=p["t"], levels=levels,
             replicas=p["replicas"], seed=cfg.seed, workers=p["workers"],
-            x_refine=p["x_refine"],
             kappa3=p["kappa3"] if p["kappa3"] is not None else calculus.KAPPA3,
         )
         report = calculus.verify_branch(p["branch"], vc)
@@ -389,11 +387,10 @@ def cmd_selftest(cfg: RunConfig) -> int:
         ident = polynomial([0.0, 1.0])
         square = polynomial([0.0, 0.0, 1.0])
         z = calculus._skeletal_z_values(js, 1.0)
-        z_t = calculus.evaluate_z(js.x, js.y.value_at_time(1.0))
-        r1 = calculus.ito_residual(ident, js, 1.0)
-        r2 = calculus.ito_residual(square, js, 1.0)
-        ok = ok and abs(r1 - (z_t - z[-1])) <= 1e-12
-        ok = ok and abs(r2 - (z_t**2 - z[-1] ** 2)) <= 1e-12
+        r1 = calculus.ito_residual(ident, js)
+        r2 = calculus.ito_residual(square, js)
+        ok = ok and abs(r1 - (js.z_t - z[-1])) <= 1e-12
+        ok = ok and abs(r2 - (js.z_t**2 - z[-1] ** 2)) <= 1e-12
     check("telescoping residuals for x and x^2", ok)
 
     return EXIT_OK if not failures else EXIT_ACCEPTANCE

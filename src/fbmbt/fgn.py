@@ -268,19 +268,6 @@ class FbmPath:
     def time_grid(self) -> np.ndarray:
         return (np.arange(2 * self.half_extent + 1) - self.half_extent) * self.spacing
 
-    def index_at_time(self, t: float) -> int:
-        """Nearest grid index to t; ExtentError when |t| exceeds the grid."""
-        idx = int(round(t / self.spacing)) + self.half_extent
-        if idx < 0 or idx >= len(self.values):
-            raise ExtentError(
-                f"time {t} outside grid extent {self.extent} "
-                f"(need half_extent >= {abs(int(round(t / self.spacing)))})"
-            )
-        return idx
-
-    def value_at_time(self, t: float) -> float:
-        return float(self.values[self.index_at_time(t)])
-
     def dyadic_stride(self, level: int) -> int:
         """Integer stride m with m * spacing == 2^{-level/2}, else error."""
         ratio = dyadic_step(level) / self.spacing
@@ -307,17 +294,10 @@ class BmPath:
         if self.values[0] != 0.0:
             raise ValueError("Brownian path must start at 0")
 
-    def index_at_time(self, t: float) -> int:
-        x = t / self.spacing
-        idx = int(round(x))
-        if abs(x - idx) > 1e-9:
-            idx = int(np.floor(x))
-        if idx < 0 or idx >= len(self.values):
-            raise ExtentError(f"time {t} beyond horizon {self.horizon}")
-        return idx
 
-    def value_at_time(self, t: float) -> float:
-        return float(self.values[self.index_at_time(t)])
+def _check_positive_finite(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 def _scaled_fgn(h: HurstParameter, spacing: float, n_inc: int,
@@ -336,8 +316,7 @@ def sample_fgn(hurst, spacing: float, n_inc: int,
     the result is empty and nothing is drawn.
     """
     h = HurstParameter(_hvalue(hurst))
-    if not spacing > 0:
-        raise ValueError(f"spacing must be positive, got {spacing}")
+    _check_positive_finite("spacing", spacing)
     n_inc = int(n_inc)
     if n_inc < 0:
         raise ValueError(f"n_inc must be >= 0, got {n_inc}")
@@ -354,8 +333,7 @@ def sample_fbm_two_sided(hurst, spacing: float, half_extent: int,
     ``2 * half_extent`` increments, re-based at the middle of the grid.
     """
     h = HurstParameter(_hvalue(hurst))
-    if not spacing > 0:
-        raise ValueError(f"spacing must be positive, got {spacing}")
+    _check_positive_finite("spacing", spacing)
     half_extent = int(half_extent)
     if half_extent < 1:
         raise ValueError(f"half_extent must be >= 1, got {half_extent}")
@@ -370,10 +348,8 @@ def sample_fbm_two_sided(hurst, spacing: float, half_extent: int,
 
 def sample_bm(horizon: float, spacing: float, seed: "int | SeedRecord") -> BmPath:
     """Standard Brownian path: cumulative i.i.d. N(0, spacing) increments."""
-    if not horizon > 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    if not spacing > 0:
-        raise ValueError(f"spacing must be positive, got {spacing}")
+    _check_positive_finite("horizon", horizon)
+    _check_positive_finite("spacing", spacing)
     record = as_seed_record(seed)
     rng = record.generator()
     n = int(np.ceil(horizon / spacing))

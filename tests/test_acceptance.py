@@ -21,8 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from fbmbt.calculus import (VerifyConfig, evaluate_z, ito_residual,
-                            sample_joint, taylor_coefficients, verify_branch,
+from fbmbt.calculus import (VerifyConfig, ito_residual, sample_joint,
+                            taylor_coefficients, verify_branch,
                             _skeletal_z_values)
 from fbmbt.fgn import dyadic_step, sample_fbm_two_sided
 from fbmbt.scaling import check_cubic, check_quadratic
@@ -54,8 +54,7 @@ class TestAcceptance:
         base = SeedRecord(MASTER + 1)
         for n in range(4, 13):
             for i in range(100):
-                js = sample_joint(hurst, n, t, base.derive("replica", n, i),
-                                  x_refine=1)
+                js = sample_joint(hurst, n, t, base.derive("replica", n, i))
                 cc = crossing_counts(js.skeleton, t)
                 z = _skeletal_z_values(js, t)
                 for r in (1, 2, 3):
@@ -127,9 +126,9 @@ class TestAcceptance:
         for i in range(5):
             js = sample_joint(0.35, 8, 1.0, SeedRecord(MASTER + 4).derive("replica", i))
             z = _skeletal_z_values(js, 1.0)
-            z_t = evaluate_z(js.x, js.y.value_at_time(1.0))
-            r1 = ito_residual(function_by_name("identity"), js, 1.0)
-            r2 = ito_residual(function_by_name("square"), js, 1.0)
+            z_t = js.z_t
+            r1 = ito_residual(function_by_name("identity"), js)
+            r2 = ito_residual(function_by_name("square"), js)
             worst = max(worst, abs(r1 - (z_t - z[-1])), abs(r2 - (z_t**2 - z[-1] ** 2)))
         elapsed = time.perf_counter() - start
         ok = worst <= 1e-12

@@ -9,10 +9,9 @@ import sympy
 
 from fbmbt.calculus import (KAPPA3, VerificationReport, VerifyConfig,
                             _skeletal_z_values, correction_std, evaluate_gate,
-                            evaluate_z, ito_residual, sample_joint,
-                            taylor_coefficients, verify_branch)
-from fbmbt.fgn import (ExtentError, coarsen, increment_autocovariance,
-                       sample_fbm_two_sided)
+                            ito_residual, sample_joint, taylor_coefficients,
+                            verify_branch)
+from fbmbt.fgn import increment_autocovariance, sample_fbm_two_sided
 from fbmbt.scaling import power_variation
 from fbmbt.skeleton import crossing_counts
 from fbmbt.streams import SeedRecord
@@ -65,63 +64,29 @@ class TestTaylorScheme:
                                    [0.5, -1 / 24, 1 / 240], rtol=1e-15)
 
 
-class TestEvaluateZ:
-    def test_zero_maps_to_zero(self):
-        x = sample_fbm_two_sided(0.3, 0.01, 128, seed=1)
-        assert evaluate_z(x, 0.0) == 0.0
-
-    def test_on_grid_exact(self):
-        x = sample_fbm_two_sided(0.3, 0.25, 16, seed=2)
-        assert evaluate_z(x, 0.75) == x.values[x.half_extent + 3]
-        assert evaluate_z(x, -1.0) == x.values[x.half_extent - 4]
-
-    def test_extent_error(self):
-        x = sample_fbm_two_sided(0.3, 0.25, 4, seed=3)
-        with pytest.raises(ExtentError, match="extent"):
-            evaluate_z(x, 2.0)
-
-    def test_refinement_self_convergence(self):
-        # one realization restricted to coarser grids: snapping changes shrink
-        h = 0.35
-        fine = sample_fbm_two_sided(h, 2.0**-12, 2**13, seed=4)
-        grids = [coarsen(fine, 2**k) for k in (0, 2, 4)]  # spacings h, 4h, 16h
-        rng = np.random.default_rng(5)
-        targets = rng.uniform(-1.5, 1.5, 300)
-        med = []
-        for coarse, finer in ((grids[2], grids[1]), (grids[1], grids[0])):
-            diffs = [abs(evaluate_z(coarse, y) - evaluate_z(finer, y))
-                     for y in targets]
-            med.append(np.median(diffs))
-        assert med[1] < med[0]
-
-
 class TestItoResidual:
     def test_telescoping_linear(self):
         js = sample_joint(0.35, 8, 1.0, 99)
         z = _skeletal_z_values(js, 1.0)
-        z_t = evaluate_z(js.x, js.y.value_at_time(1.0))
-        res = ito_residual(function_by_name("identity"), js, 1.0)
-        assert abs(res - (z_t - z[-1])) <= 1e-12
+        res = ito_residual(function_by_name("identity"), js)
+        assert abs(res - (js.z_t - z[-1])) <= 1e-12
 
     def test_telescoping_quadratic(self):
         js = sample_joint(0.35, 8, 1.0, 99)
         z = _skeletal_z_values(js, 1.0)
-        z_t = evaluate_z(js.x, js.y.value_at_time(1.0))
-        res = ito_residual(function_by_name("square"), js, 1.0)
-        assert abs(res - (z_t**2 - z[-1] ** 2)) <= 1e-12
+        res = ito_residual(function_by_name("square"), js)
+        assert abs(res - (js.z_t**2 - z[-1] ** 2)) <= 1e-12
 
     def test_deterministic(self):
-        a = ito_residual(sine(), sample_joint(0.35, 6, 0.5, 7), 0.5)
-        b = ito_residual(sine(), sample_joint(0.35, 6, 0.5, 7), 0.5)
+        a = ito_residual(sine(), sample_joint(0.35, 6, 0.5, 7))
+        b = ito_residual(sine(), sample_joint(0.35, 6, 0.5, 7))
         assert a == b
 
     def test_horizon_below_first_step_is_empty_sum(self):
         # floor(2^n t) = 0: the variation vanishes, residual is f(Z_t) - f(0)
-        js = sample_joint(0.35, 6, 0.5, 21)
-        t = 2.0**-8
-        res = ito_residual(sine(), js, t)
-        expected = np.sin(evaluate_z(js.x, js.y.value_at_time(t)))
-        assert res == pytest.approx(expected, abs=1e-15)
+        js = sample_joint(0.35, 6, 2.0**-8, 21)
+        res = ito_residual(sine(), js)
+        assert res == pytest.approx(np.sin(js.z_t), abs=1e-15)
 
     def test_step_count_shared_with_crossing_counts(self):
         # 2^8 t lies 2.6e-9 below 256: the residual, the crossing counts and
@@ -149,15 +114,13 @@ class TestCorrectionIntegral:
         # conditional on (X, Y): mean 0 and variance (k3/12)^2 h sum f'''(X)^2
         # over fresh Brownian increments
         f = function_by_name(fname)
-        js = sample_joint(1 / 6, 6, 1.0, 15, x_refine=16)
-        y_t = js.y.value_at_time(1.0)
-        h = js.x.spacing
+        x = sample_fbm_two_sided(1 / 6, 2.0**-7, 128, seed=15)
+        y_t = -0.8
+        h = x.spacing
         count = int(np.floor(abs(y_t) / h + 1e-12))
-        if count < 4:  # pragma: no cover - seed chosen to avoid this
-            pytest.skip("clock too close to zero for a meaningful check")
         sign = 1 if y_t >= 0 else -1
-        idx = sign * np.arange(count) + js.x.half_extent
-        x_left = js.x.values[idx]
+        idx = sign * np.arange(count) + x.half_extent
+        x_left = x.values[idx]
         fx = np.asarray(f.derivative(3)(x_left), dtype=float)
         reps = 10_000
         rng = SeedRecord(16).generator()
@@ -232,8 +195,6 @@ class TestVerifyConfig:
         ("replicas", 1),
         ("replicas", 2.5),
         ("seed", -1),
-        ("x_refine", 0),
-        ("x_refine", 48),
         ("kappa3", float("nan")),
         ("kappa3", float("inf")),
         ("workers", 0),
@@ -249,8 +210,13 @@ class TestVerifyConfig:
 
     def test_accepts_valid_layout(self):
         cfg = VerifyConfig(hurst=0.35, f=sine(), t=0.5, levels=(1, 2, 8),
-                           replicas=2, seed=0, x_refine=1)
+                           replicas=2, seed=0)
         assert cfg.levels == (1, 2, 8)
+
+    def test_x_refine_is_gone(self):
+        with pytest.raises(TypeError, match="x_refine"):
+            VerifyConfig(hurst=0.35, f=sine(), t=1.0, levels=(4, 6),
+                         replicas=10, seed=1, x_refine=16)
 
 
 class TestVerifyBranch:
@@ -264,7 +230,7 @@ class TestVerifyBranch:
 
     def test_supercritical_smoke(self):
         cfg = VerifyConfig(hurst=0.35, f=sine(), t=0.5, levels=(4, 6),
-                           replicas=30, seed=2, x_refine=16)
+                           replicas=30, seed=2)
         report = verify_branch("supercritical", cfg)
         assert report.levels == [4, 6]
         for row in report.per_level:

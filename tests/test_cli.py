@@ -57,6 +57,21 @@ class TestGenerate:
         assert "hurst" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0", "-1"])
+@pytest.mark.parametrize("argv, name", [
+    (("generate", "--process", "bm", "--spacing", "1", "--horizon={}"), "horizon"),
+    (("generate", "--process", "fbm", "--hurst", "0.3", "--spacing={}",
+      "--half-extent", "4"), "spacing"),
+    (("skeleton", "--level", "4", "--horizon={}"), "horizon"),
+], ids=["bm-horizon", "fbm-spacing", "skeleton-horizon"])
+def test_non_finite_or_non_positive_is_usage_error(tmp_path, capsys, argv, name, value):
+    out = tmp_path / "x.out"
+    code = run(*(a.format(value) for a in argv), "-o", str(out))
+    assert code == 1
+    assert f"{name} must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestSkeletonCommand:
     def test_writes_valid_structure(self, tmp_path):
         out = tmp_path / "s.skel"
@@ -120,6 +135,12 @@ class TestVerifyCommand:
         code = run("verify", "--branch", "subcritical", "--hurst", "0.1",
                    "--levels", "8,6", "-o", str(tmp_path / "r.json"))
         assert code == 1
+
+    def test_x_refine_flag_is_gone(self, tmp_path, capsys):
+        code = run("verify", "--branch", "supercritical", "--hurst", "0.35",
+                   "--x-refine", "16", "-o", str(tmp_path / "r.json"))
+        assert code == 1
+        assert "--x-refine" in capsys.readouterr().err
 
     def test_infinite_horizon_is_usage_error(self, tmp_path, capsys):
         code = run("verify", "--branch", "supercritical", "--hurst", "0.35",
@@ -207,6 +228,14 @@ class TestConfigPlumbing:
         code = run("--config", str(cfgfile), "selftest")
         assert code == 1
         assert "unknown key" in capsys.readouterr().err
+
+    def test_config_file_x_refine_is_unknown(self, tmp_path, capsys):
+        cfgfile = tmp_path / "x.cfg"
+        cfgfile.write_text("x_refine = 16\n")
+        code = run("--config", str(cfgfile), "verify", "--branch", "supercritical",
+                   "--hurst", "0.35", "--outdir", str(tmp_path))
+        assert code == 1
+        assert "unknown key 'x_refine'" in capsys.readouterr().err
 
     def test_config_file_converts_with_the_flag_type(self, tmp_path, capsys):
         # --kappa3 defaults to None; its config value must still be a float

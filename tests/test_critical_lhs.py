@@ -12,8 +12,7 @@ import math
 
 import numpy as np
 
-from fbmbt.calculus import (KAPPA3, VerifyConfig, _critical_lhs,
-                            _pow2_at_least, evaluate_z)
+from fbmbt.calculus import KAPPA3, VerifyConfig, _critical_lhs, _pow2_at_least
 from fbmbt.fgn import sample_fbm_two_sided
 from fbmbt.stats import ks_two_sample
 from fbmbt.streams import SeedRecord
@@ -39,7 +38,8 @@ def _old_lhs(cfg, rec):
     x = sample_fbm_two_sided(cfg.hurst, h, half, rec.derive("fbm"))
     w = sample_fbm_two_sided(0.5, h, half, rec.derive("wiener"))
     corr = _old_correction_integral(cfg.f, x, w, y_t, cfg.kappa3)
-    return float(cfg.f(evaluate_z(x, y_t)) - cfg.f(0.0) + corr)
+    z_t = x.values[int(round(y_t / h)) + x.half_extent]  # nearest grid point
+    return float(cfg.f(z_t) - cfg.f(0.0) + corr)
 
 
 def _pool(draw, cfg, seed, replicas):

@@ -372,7 +372,7 @@ class TestBmSampler:
         finals = np.empty(reps)
         for r in range(reps):
             finals[r] = sample_bm(horizon, spacing,
-                                  base.derive("replica", r)).value_at_time(1.0)
+                                  base.derive("replica", r)).values[-1]
         assert abs(finals.var(ddof=1) - horizon) <= 3 * horizon * np.sqrt(2.0 / reps)
 
     def test_increment_variance_is_spacing(self):
@@ -381,6 +381,21 @@ class TestBmSampler:
         # single path, 1024 increments: variance within 5 SE
         se = np.sqrt(2.0 / inc.size)
         assert abs(inc.var() / y.spacing - 1.0) <= 5 * se
+
+
+BAD_POSITIVE = [float("inf"), float("-inf"), float("nan"), 0.0, -1.0]
+
+
+@pytest.mark.parametrize("value", BAD_POSITIVE)
+@pytest.mark.parametrize("call, name", [
+    (lambda v: sample_bm(v, 0.25, seed=0), "horizon"),
+    (lambda v: sample_bm(1.0, v, seed=0), "spacing"),
+    (lambda v: sample_fgn(0.3, v, 16, seed=0), "spacing"),
+    (lambda v: sample_fbm_two_sided(0.3, v, 16, seed=0), "spacing"),
+], ids=["bm-horizon", "bm-spacing", "fgn-spacing", "fbm-spacing"])
+def test_rejects_non_finite_or_non_positive(call, name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+        call(value)
 
 
 class TestSerialization:

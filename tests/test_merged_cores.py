@@ -1,10 +1,10 @@
 """Oracle tests for the shared Monte Carlo cores.
 
-Each oracle is a verbatim copy of the inline code that one shared function
+Each oracle is a copy of the inline code that one shared function
 replaced: the critical branch's right-hand cell sum, the supercritical
-branch's (full, at skeleton end) residual pair, and the two report
-serializers.  The shared code must reproduce them bit for bit on seeded
-replicas.
+branch's (full, at skeleton end) residual pair with V_n as the direct sum
+over all skeletal values, and the two report serializers.  The shared code
+must reproduce them bit for bit on seeded replicas.
 """
 
 import json
@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from fbmbt.calculus import (VerificationReport, _as_weight, _pow2_at_least,
-                            _skeletal_z_values, evaluate_z, ito_residual_pair,
+                            _skeletal_z_values, ito_residual_pair,
                             sample_joint, verify_branch, VerifyConfig)
 from fbmbt.fgn import dyadic_step, sample_fbm_two_sided
 from fbmbt.scaling import ScalingReport, check_cubic
@@ -42,11 +42,11 @@ def _old_critical_rhs(f, hurst, t, level, rec):
     return sgn * math.fsum((w01 * (x1 - x0)).tolist()), jstar, x
 
 
-def _old_supercritical_pair(f, js, t):
-    z = _skeletal_z_values(js, t)
+def _old_supercritical_pair(f, js):
+    # V_n as the direct sum over all N + 1 skeletal values
+    z = _skeletal_z_values(js, js.t)
     v = symmetric_variation_direct(_as_weight(f, 1), z, 1)
-    z_t = evaluate_z(js.x, js.y.value_at_time(t))
-    full = float(f(z_t) - f(0.0) - v)
+    full = float(f(js.z_t) - f(0.0) - v)
     at_end = float(f(z[-1]) - f(0.0) - v)
     return full, at_end
 
@@ -96,9 +96,8 @@ def test_residual_pair_matches_inline_supercritical_pair():
     base = SeedRecord(32)
     for rep in range(REPLICAS):
         f = function_by_name(("sin", "gauss", "cube")[rep % 3])
-        js = sample_joint(0.35, 4 + rep % 3, 0.5, base.derive("replica", rep),
-                          x_refine=16)
-        assert ito_residual_pair(f, js, 0.5) == _old_supercritical_pair(f, js, 0.5)
+        js = sample_joint(0.35, 4 + rep % 9, 0.5, base.derive("replica", rep))
+        assert ito_residual_pair(f, js) == _old_supercritical_pair(f, js)
 
 
 def test_report_serializers_match_previous_layout(tmp_path):

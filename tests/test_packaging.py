@@ -1,5 +1,5 @@
-"""Declared dependencies match what the package imports, and every
-module-level import is used."""
+"""Declared dependencies match what the package imports, every
+module-level import is used, and every export exists."""
 
 import ast
 import re
@@ -58,3 +58,41 @@ def test_every_module_import_is_used(module):
     used |= _annotation_names(tree)
     unused = sorted(set(imported) - used)
     assert not unused, f"src/fbmbt/{module} imports {unused} but never uses them"
+
+
+def _module_names(module):
+    """(``__all__``, names bound at module level) of one source module."""
+    tree = ast.parse((ROOT / "src" / "fbmbt" / module).read_text())
+    exported, defined = None, set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    defined.add(target.id)
+                    if target.id == "__all__":
+                        exported = ast.literal_eval(node.value)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            defined |= {a.asname or a.name.split(".")[0] for a in node.names}
+    return exported, defined
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in (ROOT / "src" / "fbmbt").glob("*.py") if p.name != "__init__.py"))
+def test_every_export_is_defined(module):
+    exported, defined = _module_names(module)
+    assert exported is not None, f"src/fbmbt/{module} has no __all__"
+    missing = sorted(set(exported) - defined)
+    assert not missing, f"src/fbmbt/{module} exports undefined {missing}"
+
+
+def test_package_imports_only_exported_names():
+    tree = ast.parse((ROOT / "src" / "fbmbt" / "__init__.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            exported, _ = _module_names(f"{node.module}.py")
+            stale = sorted({a.name for a in node.names} - set(exported or ()))
+            assert not stale, \
+                f"fbmbt/__init__.py imports {stale} from {node.module}, not in its __all__"
