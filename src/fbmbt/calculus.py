@@ -33,10 +33,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fgn import (BmPath, ExtentError, FbmPath, HurstParameter, dyadic_step,
-                  extend_bm, floor_steps, increment_autocovariance, sample_bm,
-                  sample_fbm_two_sided)
-from .skeleton import SkeletalStructure, build_skeleton
+from .fgn import (ExtentError, FbmPath, HurstParameter, dyadic_step,
+                  floor_steps, increment_autocovariance, sample_fbm_two_sided)
+from .skeleton import killed_position, sample_exit_times
 from .stats import (PerLevelReport, SampleSummary, check_layout,
                     fit_log2_slope, is_integral, ks_two_sample)
 from .streams import SeedRecord, as_seed_record
@@ -75,17 +74,17 @@ REPORT_SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class JointSample:
-    """One realization of (X, Y) with the skeleton of Y at one level.
+    """One realization of X, the level-n walk of Y and (Y_t, Z_t).
 
-    x and y come from disjoint substreams of the master seed, so the two
-    processes are independent; the skeleton always derives from y.  x lives
-    on the level's own grid, spacing 2^{-n/2}; y_t = Y_t and z_t = X(Y_t)
-    belong to the horizon t.
+    walk holds the embedded walk of Y at its first N = floor(2^n t) grid
+    hits, in grid units, starting at 0; x lives on the level's own grid,
+    spacing 2^{-n/2}; y_t = Y_t and z_t = X(Y_t) belong to the horizon t.
+    X and Y come from disjoint substreams of the seed record, so they are
+    independent.
     """
 
     x: FbmPath
-    y: BmPath
-    skeleton: SkeletalStructure
+    walk: np.ndarray
     level: int
     seed_record: SeedRecord
     t: float
@@ -93,35 +92,31 @@ class JointSample:
     z_t: float
 
     def __post_init__(self):
-        if self.skeleton.level != self.level:
-            raise ValueError("skeleton level disagrees with sample level")
+        walk = np.ascontiguousarray(self.walk, dtype=np.int64)
+        walk.setflags(write=False)
+        object.__setattr__(self, "walk", walk)
         if self.x.spacing != dyadic_step(self.level):
             raise ValueError("X grid spacing is not the level's step 2^{-n/2}")
-        if self.skeleton.n_steps < floor_steps(self.level, self.t):
-            raise ValueError("skeleton does not reach floor(2^n t) steps")
+        if len(walk) != floor_steps(self.level, self.t) + 1 or walk[0] != 0:
+            raise ValueError("walk must hold floor(2^n t) steps from 0")
 
-
-def _horizon_for(level: int, t: float) -> float:
-    # Mean time to complete 2^n t steps is ~t; fluctuation is O(2^{-n/2}).
-    return t + 6.0 * math.sqrt((2.0 / 3.0) * max(t, 1.0) * 2.0**-level) + 64.0 * 2.0**-level
+    @property
+    def n_steps(self) -> int:
+        return len(self.walk) - 1
 
 
 def _pow2_at_least(x: float) -> int:
     return 1 << max(0, int(math.ceil(math.log2(max(x, 1.0)))))
 
 
-def _clock_at(y: BmPath, t: float, record: SeedRecord) -> float:
-    """Y_t: the sample when t is a sample time, else a Brownian-bridge draw
-    between the two samples around t."""
-    u = t / y.spacing
-    i = round(u)
-    if abs(u - i) <= 1e-9 * max(1.0, u):
-        return float(y.values[i])
-    i = math.floor(u)
-    frac = u - i
-    g = float(record.generator().standard_normal())
-    return float(y.values[i] + frac * (y.values[i + 1] - y.values[i])
-                 + math.sqrt(frac * (1.0 - frac) * y.spacing) * g)
+@lru_cache(maxsize=8)
+def _increment_precision(m: int, hvalue: float) -> np.ndarray:
+    """Read-only inverse of the covariance rho(|i - k|) of 2m unit fGn steps."""
+    lag = np.arange(2 * m)
+    rho = increment_autocovariance(lag, hvalue)
+    precision = np.linalg.inv(rho[np.abs(lag[:, None] - lag[None, :])])
+    precision.setflags(write=False)
+    return precision
 
 
 def _x_conditional(x: FbmPath, y: float) -> tuple:
@@ -129,13 +124,10 @@ def _x_conditional(x: FbmPath, y: float) -> tuple:
 
     In grid units (s = y/spacing, r = floor(s)) the standardized increment
     X(s) - X(r) has covariance c_k with the k-th grid increment and variance
-    (s - r)^{2H}; the increments have the Toeplitz covariance rho(0..2M-1).
+    (s - r)^{2H}; the increments have the Toeplitz covariance rho(0..2M-1),
+    whose inverse depends on (M, H) only and is cached.
     notes/decisions.md has the derivation.
     """
-    # scipy.linalg costs about 0.06 s and 5.6 MB to import, and only the
-    # supercritical branch needs it, so it is loaded on first use.
-    from scipy.linalg import solve_toeplitz
-
     h2 = 2.0 * x.hurst.value
     m = x.half_extent
     s = y / x.spacing
@@ -145,37 +137,51 @@ def _x_conditional(x: FbmPath, y: float) -> tuple:
     u = np.arange(-m, m + 1, dtype=float)
     g = np.abs(s - u) ** h2 - np.abs(r - u) ** h2
     c = 0.5 * (g[:-1] - g[1:])
-    w = solve_toeplitz(increment_autocovariance(np.arange(2 * m), x.hurst), c)
+    w = _increment_precision(m, x.hurst.value) @ c
     mean = float(x.values[r + m]) + float(w @ np.diff(x.values))
     std = x.spacing ** x.hurst.value * math.sqrt(max((s - r) ** h2 - float(w @ c), 0.0))
     return mean, std
 
 
-def sample_joint(hurst, level: int, t: float, seed: "int | SeedRecord", *,
-                 mode: str = "bridge") -> JointSample:
-    """Draw (X, Y, skeleton) and Z_t = X(Y_t) for horizon t at the given level.
+def sample_joint(hurst, level: int, t: float, seed: "int | SeedRecord") -> JointSample:
+    """Draw the level-n walk of Y up to N = floor(2^n t), Y_t, X and Z_t = X(Y_t).
 
-    X is drawn on the level's grid, sized to the realized walk range and
-    |Y_t| (rounded up to a power of two so embedding spectra are shared
-    across replicas).  Y_t and then Z_t are exact draws given the sampled
-    paths, each from a substream of its own.
+    No path of Y is drawn.  The walk signs are fair coins and the holding
+    times i.i.d. copies of 2^{-n} tau (``sample_exit_times``).  If the N-th
+    grid hit comes by t, Y_t is the walk end plus an independent normal of
+    variance t - T_N.  Otherwise let k be the step under way at t: Y_t sits
+    inside its cell at the position of a Brownian motion that has not left
+    the cell after the elapsed time (``killed_position``), and step k goes
+    up with probability (1 + U)/2, U that position in cell units.  Every
+    draw is exact (notes/decisions.md).  X is drawn on the level's grid,
+    sized to the walk range and |Y_t| (rounded up to a power of two so
+    embedding spectra are shared across replicas), and Z_t from its exact
+    law given that grid.
     """
     record = as_seed_record(seed)
     h = HurstParameter(float(hurst) if not isinstance(hurst, HurstParameter) else hurst.value)
-    steps_needed = floor_steps(level, t)
-    y = sample_bm(_horizon_for(level, t), 2.0 ** (-(level + 2)), record.derive("bm"))
-    sk = build_skeleton(y, level, mode=mode, seed=record.derive("bridge"))
-    while sk.n_steps < steps_needed:
-        y = extend_bm(y, y.horizon * 1.5)
-        sk = build_skeleton(y, level, mode=mode, seed=record.derive("bridge"))
+    n_steps = floor_steps(level, t)
     a = dyadic_step(level)
-    y_t = _clock_at(y, t, record.derive("bm", 1))
-    walk_reach = int(np.max(np.abs(sk.walk[: steps_needed + 1]))) + 1 if steps_needed else 1
+    clock = record.derive("bm").generator()
+    hits = np.cumsum(sample_exit_times(clock, n_steps))
+    steps = 2 * clock.integers(0, 2, size=n_steps) - 1
+    done = int(np.searchsorted(hits, t * 2.0**level, side="right"))  # = k - 1
+    if done == n_steps:
+        last = hits[-1] * 2.0**-level if n_steps else 0.0
+        y_t = a * int(steps.sum()) + math.sqrt(t - last) * float(clock.standard_normal())
+    else:
+        elapsed = t * 2.0**level - (hits[done - 1] if done else 0.0)
+        v, coin = clock.random(2)
+        pos = killed_position(elapsed, float(v))
+        steps[done] = 1 if coin < 0.5 * (1.0 + pos) else -1
+        y_t = a * (int(steps[:done].sum()) + pos)
+    walk = np.concatenate([[0], np.cumsum(steps)])
+    walk_reach = int(np.max(np.abs(walk))) + 1
     need = max(walk_reach * a, abs(y_t) + 2 * a, 4 * a)
     x = sample_fbm_two_sided(h, a, _pow2_at_least(need / a), record.derive("fbm"))
     mean, std = _x_conditional(x, y_t)
     z_t = mean + std * float(record.derive("fbm", 1).generator().standard_normal())
-    return JointSample(x=x, y=y, skeleton=sk, level=level, seed_record=record,
+    return JointSample(x=x, walk=walk, level=level, seed_record=record,
                        t=float(t), y_t=y_t, z_t=z_t)
 
 
@@ -273,11 +279,9 @@ def taylor_coefficients() -> TaylorScheme:
 
 def _skeletal_z_values(js: JointSample, t: float) -> np.ndarray:
     steps = floor_steps(js.level, t)
-    if js.skeleton.n_steps < steps:
-        raise ExtentError(
-            f"skeleton covers {js.skeleton.n_steps} steps, need {steps}"
-        )
-    idx = js.skeleton.walk[: steps + 1] + js.x.half_extent
+    if js.n_steps < steps:
+        raise ExtentError(f"walk covers {js.n_steps} steps, need {steps}")
+    idx = js.walk[: steps + 1] + js.x.half_extent
     if idx.min() < 0 or idx.max() >= len(js.x.values):
         raise ExtentError("spatial grid does not cover the walk range")
     return js.x.values[idx]
@@ -291,7 +295,7 @@ def ito_residual_pair(f: SmoothFunction, js: JointSample) -> tuple:
     T_N, without the endpoint mismatch f(Z_t) - f(Z_{T_N}).  V_n is the
     cell sum up to the walk's index at T_N (criterion 1's identity).
     """
-    terminal = int(js.skeleton.walk[floor_steps(js.level, js.t)])
+    terminal = int(js.walk[-1])
     v = symmetric_cell_sum(_as_weight(f, 1), js.x, js.level, terminal, 1)
     z_end = js.x.values[terminal + js.x.half_extent]
     return float(f(js.z_t) - f(0.0) - v), float(f(z_end) - f(0.0) - v)
@@ -316,7 +320,7 @@ def correction_std(f: SmoothFunction, x: np.ndarray, width: float,
     Brownian motion independent of X, is normal with mean 0 and this std.
     """
     f3 = np.asarray(f.derivative(3)(x), dtype=float)
-    return (kappa3 / 12.0) * math.sqrt(width * math.fsum((f3 * f3).tolist()))
+    return (kappa3 / 12.0) * math.sqrt(width * float(np.add.reduce(f3 * f3)))
 
 
 # ---------------------------------------------------------------------------
@@ -383,11 +387,13 @@ def _branch_supercritical_level(cfg: VerifyConfig, level: int) -> dict:
     res = np.abs(np.array([p[0] for p in pairs]))
     res_end = np.abs(np.array([p[1] for p in pairs]))
     s = SampleSummary.from_samples(res)
+    end = SampleSummary.from_samples(res_end)
     return {
         "mean_abs": s.mean,
         "p90": s.p90,
         "stderr": s.stderr,
-        "mean_abs_at_skeleton_end": float(res_end.mean()),
+        "mean_abs_at_skeleton_end": end.mean,
+        "stderr_at_skeleton_end": end.stderr,
     }
 
 

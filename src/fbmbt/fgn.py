@@ -359,24 +359,6 @@ def sample_bm(horizon: float, spacing: float, seed: "int | SeedRecord") -> BmPat
                   values=values, seed_record=record)
 
 
-def extend_bm(path: BmPath, new_horizon: float) -> BmPath:
-    """Append fresh increments (child stream) so the path reaches new_horizon.
-
-    The existing prefix is preserved bit-for-bit, so extension commutes with
-    any causal scan of the path.
-    """
-    if new_horizon <= path.horizon:
-        return path
-    extra = int(np.ceil((new_horizon - path.horizon) / path.spacing))
-    child = path.seed_record.derive("extend", len(path.values))
-    inc = child.generator().standard_normal(extra) * np.sqrt(path.spacing)
-    tail = path.values[-1] + np.cumsum(inc)
-    values = np.concatenate([path.values, tail])
-    return BmPath(spacing=path.spacing,
-                  horizon=(len(values) - 1) * path.spacing,
-                  values=values, seed_record=path.seed_record)
-
-
 def coarsen(path: FbmPath, factor: int) -> FbmPath:
     """Restriction of the same realization to a grid coarser by ``factor``."""
     factor = int(factor)

@@ -17,8 +17,10 @@ Two extraction modes from a sampled path:
 
 ``sample_walk_exact`` bypasses path simulation entirely: walk steps are
 fair coin flips and the holding times are i.i.d. copies of 2^{-n} * tau,
-with tau the exit time of standard Brownian motion from (-1, 1), drawn by
-inverting its alternating-series distribution function.
+with tau the exit time of standard Brownian motion from (-1, 1), drawn
+exactly by Devroye's (2009) alternating-series rejection sampler.
+``killed_position`` draws where that motion sits inside a step at a given
+elapsed time, given that it has not yet left the cell.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import erfc, erfcinv
 
 from .fgn import dyadic_step, floor_steps
 from .streams import SeedRecord, as_seed_record
@@ -46,6 +48,8 @@ __all__ = [
     "sample_exit_times",
     "exit_time_cdf",
     "exit_time_pdf",
+    "killed_position",
+    "killed_position_cdf",
     "write_skeleton",
     "read_skeleton",
 ]
@@ -292,7 +296,11 @@ def build_skeleton(path, level: int, mode: str = "bridge",
 
 
 def crossing_counts(sk: SkeletalStructure, t: float) -> CrossingCounts:
-    """Count crossings per cell over the first floor(2^n t) walk steps."""
+    """Count crossings per cell over the first floor(2^n t) walk steps.
+
+    ``sk`` may be anything with a ``level``, a ``walk`` and ``n_steps``,
+    such as the walk of a ``calculus.JointSample``.
+    """
     if t < 0:
         raise ValueError("horizon must be nonnegative")
     m = floor_steps(sk.level, t)
@@ -386,6 +394,8 @@ def exit_time_pdf(t) -> "float | np.ndarray":
             c = 2 * k + 1
             term = c * np.exp(-(c * c) / (2.0 * ts))
             acc += (term if k % 2 == 0 else -term)
+            if np.all(np.abs(term) < 1e-12):
+                break
         out[small] = np.sqrt(2.0 / np.pi) * ts**-1.5 * acc
     if np.any(large):
         tl = t[large]
@@ -401,43 +411,139 @@ def exit_time_pdf(t) -> "float | np.ndarray":
     return float(out[0]) if scalar else out
 
 
-_INV_GRID_T: np.ndarray | None = None
-_INV_GRID_F: np.ndarray | None = None
+# Devroye's (2009) sampler.  The density of tau is sum_{n>=0} (-1)^n a_n(x)
+# with a_n(x) = pi (n+1/2) exp(-(n+1/2)^2 pi^2 x/2) (eigen form, used above
+# _DEVROYE_T) or pi (n+1/2) (2/(pi x))^{3/2} exp(-2 (n+1/2)^2/x) (image form,
+# used below it).  On either side the a_n decrease in n, so the partial sums
+# bracket the density alternately.  The proposal is a_0 itself: a Levy law
+# cut at _DEVROYE_T on the left, an exponential tail of rate pi^2/8 on the
+# right, with masses _LEFT_MASS and _RIGHT_MASS (sum 1.001, the mean number
+# of proposals per draw).  In both forms a_n/a_0 = (2n+1) exp(-n(n+1) c),
+# c = 2/x on the left and pi^2 x/2 on the right.
+_DEVROYE_T = 0.64
+_LEFT_MASS = 2.0 * math.erfc(1.0 / math.sqrt(2.0 * _DEVROYE_T))
+_RIGHT_MASS = (4.0 / math.pi) * math.exp(-math.pi**2 * _DEVROYE_T / 8.0)
 
 
-def _inversion_grid() -> tuple[np.ndarray, np.ndarray]:
-    global _INV_GRID_T, _INV_GRID_F
-    if _INV_GRID_T is None:
-        tg = np.exp(np.linspace(np.log(5e-4), np.log(40.0), 1024))
-        _INV_GRID_T = tg
-        _INV_GRID_F = exit_time_cdf(tg)
-    return _INV_GRID_T, _INV_GRID_F
+def _devroye_proposals(rng: np.random.Generator, m: int) -> np.ndarray:
+    """The accepted ones among m proposals, in draw order."""
+    v = (1.0 - rng.random(m)) * (_LEFT_MASS + _RIGHT_MASS)  # in (0, p + q]
+    w = rng.random(m)
+    left = v <= _LEFT_MASS
+    x = np.empty(m)
+    # Levy law cut at T: erfc(1/sqrt(2x)) = v/2 inverts its mass below x
+    z = erfcinv(0.5 * v[left])
+    x[left] = 0.5 / (z * z)
+    right = ~left
+    x[right] = _DEVROYE_T - (8.0 / math.pi**2) * np.log((v[right] - _LEFT_MASS) / _RIGHT_MASS)
+    c = np.where(left, 2.0 / x, (0.5 * math.pi**2) * x)
+    # accept when w <= S_1 = 1 - a_1/a_0; past S_1 (about 0.3 % of the
+    # lanes) walk the alternating partial sums until one decides
+    s = 1.0 - 3.0 * np.exp(-2.0 * c)
+    accept = w <= s
+    for i in np.flatnonzero(~accept):
+        partial, ci, n = float(s[i]), float(c[i]), 2
+        while True:
+            term = (2 * n + 1) * math.exp(-n * (n + 1) * ci)
+            if n % 2 == 0:
+                partial += term
+                if w[i] > partial:
+                    break
+            else:
+                partial -= term
+                if w[i] <= partial:
+                    accept[i] = True
+                    break
+            n += 1
+    return x[accept]
 
 
 def sample_exit_times(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Draw tau by inverting the distribution function (Newton + bisection).
+    """Draw ``size`` i.i.d. copies of tau, exactly, by Devroye's rejection.
 
-    Converged lanes are frozen; a Newton step leaving the open bracket falls
-    back to bisection, so every lane terminates.
+    Proposals are drawn in batches a little larger than the draws still
+    missing; accepted proposals are kept in draw order.
     """
-    u = rng.random(size)
-    tg, fg = _inversion_grid()
-    t = np.interp(u, fg, tg)
-    lo = np.full(size, tg[0] * 0.5)
-    hi = np.full(size, 80.0)
-    for _ in range(80):
-        resid = exit_time_cdf(t) - u
-        done = np.abs(resid) <= 1e-13
-        if np.all(done):
+    parts, have = [np.empty(0)], 0
+    while have < size:
+        missing = size - have
+        part = _devroye_proposals(rng, missing + missing // 64 + 4)
+        parts.append(part)
+        have += len(part)
+    return np.concatenate(parts)[:size]
+
+
+# Position of standard BM started at 0 at time s, killed on leaving
+# (-1, 1), given that it survived to s.  Image series (s <= _SMALL_T):
+#   P(B_s <= u, tau > s) = sum_m (-1)^m [Phi((u - 2m)/sqrt s) - Phi((-1 - 2m)/sqrt s)];
+# eigen series (s > _SMALL_T), each term scaled by exp(pi^2 s/8):
+#   P(B_s <= u, tau > s) ~ sum_k w_k (2/((2k+1) pi)) (sin((2k+1) pi u/2) + (-1)^k),
+#   w_k = exp(-k(k+1) pi^2 s/2).  Both are divided by their value at u = 1.
+# For s <= 0.4 the images past |m| = 4 add less than erfc(9/sqrt(0.8)) ~ 1e-46.
+_IMAGES = range(-4, 5)
+
+
+def _killed_series(s: float) -> tuple:
+    """(cdf, pdf) of B_s given tau > s, as functions of u in [-1, 1]."""
+    if s <= _SMALL_T:
+        scale = math.sqrt(2.0 * s)
+
+        def mass(u):
+            return sum((-1) ** m * (math.erfc((2 * m - u) / scale)
+                                    - math.erfc((2 * m + 1) / scale))
+                       for m in _IMAGES)
+
+        def density(u):
+            return (2.0 / (math.sqrt(math.pi) * scale)) * sum(
+                (-1) ** m * math.exp(-((u - 2 * m) / scale) ** 2) for m in _IMAGES)
+    else:
+        weights = [w for w in (math.exp(-k * (k + 1) * math.pi**2 * s / 2.0)
+                               for k in range(_K_LARGE)) if w >= 1e-17]
+
+        def mass(u):
+            return sum(w * (2.0 / ((2 * k + 1) * math.pi))
+                       * (math.sin((2 * k + 1) * math.pi * u / 2.0) + (-1) ** k)
+                       for k, w in enumerate(weights))
+
+        def density(u):
+            return sum(w * math.cos((2 * k + 1) * math.pi * u / 2.0)
+                       for k, w in enumerate(weights))
+    alive = mass(1.0)
+    return (lambda u: mass(u) / alive), (lambda u: density(u) / alive)
+
+
+def killed_position_cdf(u: float, s: float) -> float:
+    """P(B_s <= u | tau > s): B a standard BM from 0, tau its exit time
+    from (-1, 1); ``s`` > 0 and ``u`` in [-1, 1]."""
+    return _killed_series(s)[0](u)
+
+
+def killed_position(s: float, v: float) -> float:
+    """The v-quantile of B_s given tau > s (``killed_position_cdf``), for v
+    in (0, 1); in (-1, 1), and 0 at s = 0.
+
+    Newton steps inside a shrinking bracket, bisecting when a step leaves
+    it, until the distribution function is within 1e-13 of v.
+    """
+    if s <= 0.0:
+        return 0.0
+    cdf, pdf = _killed_series(s)
+    if s <= _SMALL_T:  # nearly N(0, s) cut to (-1, 1)
+        u = min(max(-math.sqrt(2.0 * s) * float(erfcinv(2.0 * v)), -0.999), 0.999)
+    else:  # nearly the first eigenfunction, density (pi/4) cos(pi u/2)
+        u = (2.0 / math.pi) * math.asin(2.0 * v - 1.0)
+    lo, hi = -1.0, 1.0
+    for _ in range(200):
+        resid = cdf(u) - v
+        if abs(resid) <= 1e-13:
             break
-        above = resid > 0
-        hi = np.where(above & ~done, t, hi)
-        lo = np.where(~above & ~done, t, lo)
-        pdf = np.maximum(exit_time_pdf(t), 1e-300)
-        t_new = t - resid / pdf
-        bad = (t_new <= lo) | (t_new >= hi)
-        t = np.where(done, t, np.where(bad, 0.5 * (lo + hi), t_new))
-    return t
+        if resid > 0:
+            hi = u
+        else:
+            lo = u
+        step = u - resid / max(pdf(u), 1e-300)
+        u = step if lo < step < hi else 0.5 * (lo + hi)
+    return u
 
 
 def sample_walk_exact(level: int, steps: int, seed: "int | SeedRecord",

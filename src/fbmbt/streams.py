@@ -33,7 +33,6 @@ _ROLE_CODES = {
     "scaling": 14,
     "calibrate": 15,
     "holdout": 16,
-    "extend": 17,
 }
 
 

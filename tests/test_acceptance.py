@@ -55,7 +55,7 @@ class TestAcceptance:
         for n in range(4, 13):
             for i in range(100):
                 js = sample_joint(hurst, n, t, base.derive("replica", n, i))
-                cc = crossing_counts(js.skeleton, t)
+                cc = crossing_counts(js, t)
                 z = _skeletal_z_values(js, t)
                 for r in (1, 2, 3):
                     direct = symmetric_variation_direct(sine(), z, 2 * r - 1)

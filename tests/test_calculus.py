@@ -94,7 +94,7 @@ class TestItoResidual:
         t = 1.0 - 1e-11
         js = sample_joint(0.35, 8, 1.0, 41)
         assert len(_skeletal_z_values(js, t)) - 1 == 256
-        assert crossing_counts(js.skeleton, t).n_steps == 256
+        assert crossing_counts(js, t).n_steps == 256
         path = sample_fbm_two_sided(0.35, 2.0**-8, 256, seed=42)
         assert power_variation(path, 2, 8, t) == power_variation(path, 2, 8, 1.0)
 

@@ -1,9 +1,12 @@
 """Command-line interface: exit codes, files, determinism."""
 
 import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from fbmbt.cli import main
 from fbmbt.fgn import read_path
@@ -260,3 +263,90 @@ class TestConfigPlumbing:
                    str(tmp_path), "-o", "rel.path")
         assert code == 0
         assert (tmp_path / "rel.path").exists()
+
+
+_BAD_FLOAT = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "x", ""])
+_BAD_INT = st.sampled_from(["-1", "0", "x", "2.5", ""])
+_BAD_LEVELS = st.sampled_from(["", ",", "a,b", "6,4", "0,2", "-2,4", "4,4", "3.5"])
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+def _levels(hi):
+    return st.lists(st.integers(1, hi), min_size=1, max_size=4, unique=True) \
+        .map(lambda ls: ",".join(map(str, sorted(ls))))
+
+
+def _argv(data, command, flags):
+    """Valid values for every flag but at most one, drawn from its bad set."""
+    broken = data.draw(st.one_of(st.none(), st.sampled_from(list(flags))))
+    argv = [command]
+    for flag, (good, bad) in flags.items():
+        value = data.draw(bad if flag == broken else good)
+        if value is not None:
+            argv += [flag, value]
+    return argv
+
+
+class TestFuzzedFlags:
+    """Any flag values give exit 0, 1 or 2: never 3 and never a traceback."""
+
+    @staticmethod
+    def _run_clean(argv, capsys):
+        with tempfile.TemporaryDirectory() as out:
+            code = main(argv + ["--outdir", out])
+        err = capsys.readouterr().err
+        event(f"exit {code}")
+        assert code in (0, 1, 2), (argv, code, err)
+        assert "Traceback" not in err and "runtime error" not in err, (argv, err)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), branch=st.sampled_from(["supercritical", "critical",
+                                                   "subcritical"]))
+    def test_verify(self, capsys, data, branch):
+        hurst = {"supercritical": _floats(0.17, 0.99), "critical": st.just(repr(1 / 6)),
+                 "subcritical": _floats(0.01, 0.16)}[branch]
+        flags = {
+            "--branch": (st.just(branch), st.sampled_from(["bogus", ""])),
+            "--hurst": (hurst, st.one_of(_BAD_FLOAT, _floats(-0.5, 1.5))),
+            "--t": (_floats(0.05, 2.0), _BAD_FLOAT),
+            "--levels": (_levels(7), _BAD_LEVELS),
+            "--replicas": (st.integers(2, 6).map(str), _BAD_INT),
+            "--workers": (st.sampled_from(["1", "2"]), _BAD_INT),
+            "--kappa3": (st.one_of(st.none(), _floats(-3.0, 3.0)), _BAD_FLOAT),
+            "--seed": (st.integers(0, 2**64).map(str), st.sampled_from(["-1", "x"])),
+            "--f": (st.sampled_from(["sin", "cube", "gauss"]), st.just("nope")),
+        }
+        self._run_clean(_argv(data, "verify", flags), capsys)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), power=st.sampled_from(["2", "3"]))
+    def test_scaling(self, capsys, data, power):
+        hurst = _floats(0.01, 0.99) if power == "2" else st.just(repr(1 / 6))
+        flags = {
+            "--hurst": (hurst, st.one_of(_BAD_FLOAT, _floats(-0.5, 1.5))),
+            "--power": (st.just(power), st.sampled_from(["4", "x"])),
+            "--t": (_floats(0.05, 2.0), _BAD_FLOAT),
+            "--levels": (_levels(9), _BAD_LEVELS),
+            "--replicas": (st.integers(2, 6).map(str), _BAD_INT),
+            "--seed": (st.integers(0, 2**64).map(str), st.sampled_from(["-1", "x"])),
+        }
+        self._run_clean(_argv(data, "scaling", flags), capsys)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_skeleton(self, capsys, data):
+        flags = {
+            "--level": (st.integers(1, 8).map(str), _BAD_INT),
+            "--horizon": (_floats(0.01, 2.0), _BAD_FLOAT),
+            "--mode": (st.sampled_from(["bridge", "naive"]), st.just("x")),
+            "--spacing": (st.sampled_from([None, "1e-3", "2e-4"]),
+                          st.one_of(_BAD_FLOAT, st.just("0.5"))),
+            "--seed": (st.integers(0, 2**64).map(str), st.sampled_from(["-1", "x"])),
+        }
+        self._run_clean(_argv(data, "skeleton", flags), capsys)

@@ -1,10 +1,12 @@
-"""The joint sample's clock value Y_t and Z_t = X(Y_t).
+"""The joint sample's walk, clock value Y_t and Z_t = X(Y_t).
 
 X is drawn on the level's own grid and Z_t from its exact conditional law
 given every increment of that grid (``_x_conditional``).  The law oracles
 are a dense-covariance solve, a path drawn eight times finer than the grid
 and coarsened to it, and the snapped draw that ``sample_joint`` used
 before (X on a grid 64 times finer, read at the grid point nearest Y_t).
+The path-free walk and Y_t are checked against the path-based clock they
+replaced (``path_joint``) and against the moments of Y_t.
 """
 
 import math
@@ -12,12 +14,18 @@ import math
 import numpy as np
 import pytest
 
-from fbmbt.calculus import (JointSample, _pow2_at_least, _x_conditional,
-                            sample_joint)
+from scipy.integrate import quad
+from scipy.linalg import solve_toeplitz
+
+from fbmbt.calculus import (JointSample, _increment_precision, _pow2_at_least,
+                            _x_conditional, sample_joint)
 from fbmbt.fgn import (coarsen, dyadic_step, fbm_covariance, floor_steps,
-                       sample_bm, sample_fbm_two_sided)
+                       increment_autocovariance, sample_bm,
+                       sample_fbm_two_sided)
+from fbmbt.skeleton import exit_time_cdf
 from fbmbt.stats import ks_one_sample_normal, ks_two_sample
 from fbmbt.streams import SeedRecord
+from path_joint import path_joint
 
 
 def _dense_conditional(x, y):
@@ -106,40 +114,95 @@ class TestConditionalLaw:
         assert ks.p_value > 1e-3, ks
 
 
-class TestClock:
-    def test_sample_time_keeps_the_sample(self):
-        for level in (2, 5, 8):
-            js = sample_joint(0.35, level, 1.0, SeedRecord(60).derive("replica", level))
-            assert js.y_t == js.y.values[2 ** (level + 2)]
+class TestCachedSolve:
+    @pytest.mark.parametrize("m", [4, 64, 256])
+    @pytest.mark.parametrize("hurst", [0.2, 0.35, 0.75, 0.9])
+    def test_matches_levinson(self, m, hurst):
+        rho = increment_autocovariance(np.arange(2 * m), hurst)
+        c = np.random.default_rng(m).standard_normal(2 * m)
+        np.testing.assert_allclose(_increment_precision(m, hurst) @ c,
+                                   solve_toeplitz(rho, c), rtol=0, atol=1e-12)
 
-    def test_bridge_draw_between_samples(self):
-        # t = 0.3 lies at 0.8 of the level-2 clock interval [0.25, 0.3125]
-        rec = SeedRecord(61)
-        js = sample_joint(0.35, 2, 0.3, rec)
-        y0, y1 = js.y.values[4:6]
-        g = rec.derive("bm", 1).generator().standard_normal()
-        frac = 0.3 / js.y.spacing - 4
-        expected = y0 + frac * (y1 - y0) + math.sqrt(frac * (1 - frac) * js.y.spacing) * g
-        assert js.t == 0.3
-        assert js.y_t == expected
+    def test_cached_and_read_only(self):
+        p = _increment_precision(16, 0.35)
+        assert _increment_precision(16, 0.35) is p
+        assert not p.flags.writeable
+
+
+class TestClock:
+    """(S_N, Y_t) against the path-based clock it replaced (tests/path_joint.py)."""
+
+    @pytest.mark.parametrize("level", [6, 8, 10])
+    def test_matches_path_clock_in_law(self, level):
+        reps = 2000
+        base = SeedRecord(63)
+        a = dyadic_step(level)
+        new = [sample_joint(0.35, level, 1.0, base.derive("replica", 0, r))
+               for r in range(reps)]
+        s_new = np.array([js.walk[-1] for js in new], dtype=float)
+        y_new = np.array([js.y_t for js in new])
+        old = [path_joint(level, 1.0, base.derive("replica", 1, r)) for r in range(reps)]
+        s_old = np.array([sk.walk[2**level] for _, sk, _ in old], dtype=float)
+        y_old = np.array([y_t for _, _, y_t in old])
+        for new_v, old_v in ((s_new, s_old), (y_new, y_old),
+                             (y_new - a * s_new, y_old - a * s_old)):
+            ks = ks_two_sample(new_v, old_v)
+            assert ks.p_value > 1e-3, (level, ks)
 
     def test_second_moment_off_the_clock_grid(self):
-        # E[Y_t^2] = t; the sample at floor(t/spacing) gives 0.25 instead
-        t, reps = 0.3, 4000
-        base = SeedRecord(62)
-        ys = np.array([sample_joint(0.35, 2, t, base.derive("replica", r)).y_t
+        # E[Y_t^2] = t and E[Y_t^4] = 3t^2 at t = 0.3, between two level-2
+        # hits of the grid in most draws
+        self._check_moments(2, 0.3, 4000, 62)
+
+    @pytest.mark.parametrize("level,t", [(2, 1.0), (5, 0.3), (8, 1.7)])
+    def test_moments(self, level, t):
+        self._check_moments(level, t, 4000, 64 + level)
+
+    @staticmethod
+    def _check_moments(level, t, reps, seed):
+        base = SeedRecord(seed)
+        ys = np.array([sample_joint(0.35, level, t, base.derive("replica", r)).y_t
                        for r in range(reps)])
-        sq = ys * ys
-        se = sq.std(ddof=1) / math.sqrt(reps)
-        assert abs(sq.mean() - t) <= 4 * se, (sq.mean(), se)
+        for power, target in ((2, t), (4, 3 * t * t)):
+            m = ys**power
+            se = m.std(ddof=1) / math.sqrt(reps)
+            assert abs(m.mean() - target) <= 4 * se, (power, m.mean(), target, se)
+
+    @pytest.mark.parametrize("level,t", [(2, 0.3), (4, 0.1)])
+    def test_step_under_way_follows_the_position(self, level, t):
+        # N = 1.  Y^2 - s is a martingale, so E[Y_t Y_{T_1}] = E[t ^ T_1]
+        # = int_0^t P(T_1 > s) ds.  When T_1 > t, only a step whose sign
+        # follows the position (P(up) = (1 + U)/2) gives E[Y_t Y_{T_1}] its
+        # share E[Y_t^2]; a fair sign would give 0 there.
+        reps = 8000
+        a = dyadic_step(level)
+        base = SeedRecord(67)
+        prod = np.empty(reps)
+        for r in range(reps):
+            js = sample_joint(0.35, level, t, base.derive("replica", level, r))
+            assert js.walk.tolist() in ([0, 1], [0, -1])
+            prod[r] = a * js.walk[1] * js.y_t
+        target, _ = quad(lambda s: 1.0 - exit_time_cdf(s / a**2), 0.0, t)
+        se = prod.std(ddof=1) / math.sqrt(reps)
+        assert abs(prod.mean() - target) <= 4 * se, (prod.mean(), target, se)
+
+    def test_walk_has_unit_steps(self):
+        base = SeedRecord(65)
+        for r in range(50):
+            js = sample_joint(0.35, 6, 1.0, base.derive("replica", r))
+            assert np.all(np.abs(np.diff(js.walk)) == 1)
+            assert js.walk[0] == 0 and js.n_steps == 64
+        js = sample_joint(0.35, 6, 2.0**-8, 66)
+        assert js.n_steps == 0 and js.walk.tolist() == [0]
 
 
 def test_joint_sample_requires_the_level_grid_and_steps():
     js = sample_joint(0.35, 6, 1.0, 70)
     finer = sample_fbm_two_sided(0.35, js.x.spacing / 2, 2 * js.x.half_extent, 71)
     with pytest.raises(ValueError, match="spacing"):
-        JointSample(x=finer, y=js.y, skeleton=js.skeleton, level=6,
+        JointSample(x=finer, walk=js.walk, level=6,
                     seed_record=js.seed_record, t=1.0, y_t=js.y_t, z_t=js.z_t)
-    with pytest.raises(ValueError, match="skeleton does not reach"):
-        JointSample(x=js.x, y=js.y, skeleton=js.skeleton, level=6,
+    with pytest.raises(ValueError, match="floor"):
+        JointSample(x=js.x, walk=js.walk, level=6,
                     seed_record=js.seed_record, t=4.0, y_t=js.y_t, z_t=js.z_t)
+    assert not js.walk.flags.writeable

@@ -1,12 +1,17 @@
 """Hitting-time extraction, crossing counts, and the exact walk sampler."""
 
+import math
+
 import numpy as np
 import pytest
+import scipy.stats
+from scipy.integrate import quad
 
 from fbmbt.fgn import BmPath, dyadic_step, sample_bm
 from fbmbt.skeleton import (CrossingCounts, InsufficientStepsError,
                             SkeletalStructure, SpacingError, build_skeleton,
                             crossing_counts, exit_time_cdf, exit_time_pdf,
+                            killed_position, killed_position_cdf,
                             read_skeleton, sample_exit_times,
                             sample_walk_exact, updown_difference,
                             write_skeleton)
@@ -233,31 +238,69 @@ class TestExitTimeSampler:
         assert abs(tau.mean() - 1.0) <= 3 * np.sqrt(2.0 / 3.0 / tau.size)
         assert abs(tau.var(ddof=1) - 2.0 / 3.0) <= 0.03
 
-    def test_inversion_accuracy(self):
-        rng = SeedRecord(41).generator()
-        tau = sample_exit_times(rng, 2000)
-        u_back = exit_time_cdf(tau)
-        # round-trip residual at the truncation scale of the series
-        rng2 = SeedRecord(41).generator()
-        u = rng2.random(2000)
-        assert np.max(np.abs(u_back - u)) < 1e-9
+    def test_matches_distribution_function(self):
+        # one-sample KS of Devroye's draws against the series cdf
+        tau = sample_exit_times(SeedRecord(41).generator(), 20_000)
+        res = scipy.stats.kstest(tau, exit_time_cdf)
+        assert res.pvalue > 1e-3, res
 
-    def test_single_draws_match_batch(self):
-        # size-1 inversions must agree with batched inversion lane by lane
+    def test_acceptance_rule_is_the_density_ratio(self):
+        # proposals at known points: a uniform just below the ratio of the
+        # density to the envelope a_0 accepts, one just above rejects
+        from fbmbt.skeleton import (_DEVROYE_T, _LEFT_MASS, _RIGHT_MASS,
+                                    _devroye_proposals)
+        from scipy.special import erfcinv
+
         class _Replay:
-            def __init__(self, u):
-                self.u = np.asarray(u, dtype=float)
+            def __init__(self, *draws):
+                self.draws = list(draws)
 
             def random(self, size):
-                assert size == len(self.u)
-                return self.u
+                out = self.draws.pop(0)
+                assert size == len(out)
+                return out
 
-        u = SeedRecord(45).generator().random(500)
-        batch = sample_exit_times(_Replay(u), 500)
-        singles = np.array([
-            sample_exit_times(_Replay(u[i:i + 1]), 1)[0] for i in range(500)
-        ])
-        np.testing.assert_array_equal(singles, batch)
+        v = np.linspace(0.0, 1.0, 401)[1:] * (_LEFT_MASS + _RIGHT_MASS)
+        left = v <= _LEFT_MASS
+        x = np.where(left, 0.5 / erfcinv(0.5 * np.minimum(v, _LEFT_MASS)) ** 2,
+                     _DEVROYE_T - (8 / np.pi**2)
+                     * np.log(np.maximum(v - _LEFT_MASS, 1e-300) / _RIGHT_MASS))
+        envelope = np.where(left,
+                            (np.pi / 2) * (2 / (np.pi * x)) ** 1.5 * np.exp(-0.5 / x),
+                            (np.pi / 2) * np.exp(-np.pi**2 * x / 8))
+        ratio = exit_time_pdf(x) / envelope
+        assert np.all((ratio > 0.99) & (ratio <= 1.0))
+        u = 1.0 - v / (_LEFT_MASS + _RIGHT_MASS)
+        below = _devroye_proposals(_Replay(u, ratio * (1 - 1e-9)), len(v))
+        np.testing.assert_allclose(below, x, rtol=1e-12)
+        assert len(_devroye_proposals(_Replay(u, ratio * (1 + 1e-9)), len(v))) == 0
+
+    def test_size_zero_and_one(self):
+        rng = SeedRecord(45).generator()
+        assert sample_exit_times(rng, 0).shape == (0,)
+        one = sample_exit_times(rng, 1)
+        assert one.shape == (1,) and one[0] > 0
+
+    def test_pdf_early_break_keeps_values(self):
+        # the small-t pdf loop now stops once every term is below 1e-12; the
+        # values equal the full 12-term series and a central difference of
+        # the cdf
+        t = np.concatenate([np.geomspace(1e-3, 0.4, 300), np.linspace(0.41, 6.0, 300)])
+        full = np.zeros_like(t)
+        small = t <= 0.4
+        ts = t[small]
+        acc = np.zeros_like(ts)
+        for k in range(12):
+            c = 2 * k + 1
+            acc += (-1) ** k * c * np.exp(-(c * c) / (2.0 * ts))
+        full[small] = np.sqrt(2.0 / np.pi) * ts**-1.5 * acc
+        full[~small] = exit_time_pdf(t[~small])
+        pdf = exit_time_pdf(t)
+        np.testing.assert_allclose(pdf, full, rtol=1e-12, atol=0)
+        h = 1e-5 * t
+        diff = (exit_time_cdf(t + h) - exit_time_cdf(t - h)) / (2 * h)
+        big = pdf > 1e-6
+        np.testing.assert_allclose(pdf[big], diff[big], rtol=1e-5)
 
     def test_against_simulated_exit_times(self):
         # independent oracle: finely discretized Brownian paths run to exit
@@ -278,6 +321,53 @@ class TestExitTimeSampler:
         draws = sample_exit_times(SeedRecord(42).generator(), reps)
         res = ks_two_sample(taus, draws)
         assert res.p_value > 0.005, res
+
+
+class TestKilledPosition:
+    """Position of BM from 0 at time s, given that it has not left (-1, 1)."""
+
+    @staticmethod
+    def _integrated_cdf(s):
+        # independent oracle: the image-series density with 41 images,
+        # integrated by quadrature on a fine grid and normalized
+        u = np.linspace(-1.0, 1.0, 4001)
+        m = np.arange(-20, 21)[:, None]
+        dens = np.sum((-1.0) ** m * np.exp(-(u - 2 * m) ** 2 / (2 * s)), axis=0)
+        cum = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(u))])
+        cum /= cum[-1]
+        return lambda x: np.interp(x, u, cum)
+
+    @pytest.mark.parametrize("s", [0.05, 0.3, 1.0, 3.0])
+    def test_against_integrated_image_series(self, s):
+        v = SeedRecord(46).derive("replica", int(100 * s)).generator().random(2000)
+        draws = np.array([killed_position(s, float(p)) for p in v])
+        assert np.all(np.abs(draws) < 1.0)
+        res = scipy.stats.kstest(draws, self._integrated_cdf(s))
+        assert res.pvalue > 1e-3, res
+
+    @pytest.mark.parametrize("s", [1e-6, 0.05, 0.4, 0.40001, 3.0, 40.0])
+    def test_inverts_its_distribution_function(self, s):
+        for v in (1e-9, 0.01, 0.3, 0.5, 0.77, 0.999):
+            u = killed_position(s, v)
+            assert -1.0 < u < 1.0
+            assert abs(killed_position_cdf(u, s) - v) <= 1e-13
+
+    def test_series_agree_at_the_crossover(self):
+        # the image and eigen forms meet at s = 0.4; compare at 0.4 by
+        # integrating the eigen density numerically
+        s = 0.4
+        k = np.arange(12)
+        def eigen(x):
+            return float(np.sum(np.cos((2 * k + 1) * math.pi * x / 2)
+                                * np.exp(-((2 * k + 1) ** 2) * math.pi**2 * s / 8)))
+        alive, _ = quad(eigen, -1, 1)
+        for u in (-0.9, -0.2, 0.0, 0.35, 0.8):
+            val, _ = quad(eigen, -1, u)
+            assert killed_position_cdf(u, s) == pytest.approx(val / alive, abs=1e-12)
+            assert killed_position_cdf(u, 0.40001) == pytest.approx(val / alive, abs=1e-4)
+
+    def test_zero_time_is_the_start(self):
+        assert killed_position(0.0, 0.3) == 0.0
 
 
 class TestSampleWalkExact:

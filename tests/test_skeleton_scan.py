@@ -16,10 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fbmbt.calculus import sample_joint
 from fbmbt.fgn import BmPath, dyadic_step
 from fbmbt.skeleton import _moves, build_skeleton
 from fbmbt.streams import SeedRecord, as_seed_record
+from path_joint import path_joint
 
 
 def _scan_crossings(values, a, dt, uniforms, use_bridge, times_out, walk_out):
@@ -237,10 +237,10 @@ def test_clamp_fires_on_colliding_times():
 def test_matches_on_sample_joint_paths(level, mode):
     for rep in range(2):
         record = SeedRecord(7).derive("supercritical", level, rep)
-        js = sample_joint(0.35, level, 1.0, record, mode=mode)
-        times, walk = _oracle(js.y, level, mode, record.derive("bridge"))
-        np.testing.assert_array_equal(js.skeleton.walk, walk)
-        assert js.skeleton.times.tobytes() == times.tobytes()
+        y, sk, _ = path_joint(level, 1.0, record, mode)
+        times, walk = _oracle(y, level, mode, record.derive("bridge"))
+        np.testing.assert_array_equal(sk.walk, walk)
+        assert sk.times.tobytes() == times.tobytes()
 
 
 def test_excursion_thresholds_follow_math_exp():

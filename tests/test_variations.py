@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fbmbt.fgn import ExtentError, FbmPath, HurstParameter, dyadic_step, \
     sample_fbm_two_sided
-from fbmbt.skeleton import crossing_counts, sample_walk_exact
+from fbmbt.skeleton import SkeletalStructure, crossing_counts, sample_walk_exact
 from fbmbt.streams import SeedRecord
 from fbmbt.variations import (constant_one,
                               cosine, decompose_variation, function_by_name,
@@ -240,6 +240,32 @@ def test_cell_sum_identity_on_random_walks(steps, order, name, level, seed):
     direct = symmetric_variation_direct(f, x.values[walk + x.half_extent], order)
     cell = symmetric_cell_sum(f, x, level, int(walk[-1]), order)
     assert abs(direct - cell) <= max(1e-9 * max(abs(direct), abs(cell)), 1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=st.integers(1, 7), x=st.floats(-8.0, 8.0))
+def test_odd_power_hermite_recombination(r, x):
+    # x^{2r-1} = sum_l a_{r,l} H_{2l-1}(x); the float sum may cancel, so
+    # the error is bounded relative to the sum of the terms' moduli
+    terms = [a * hermite(2 * l - 1, x)
+             for l, a in enumerate(odd_power_hermite_coeffs(r), start=1)]
+    scale = math.fsum(abs(v) for v in terms)
+    assert abs(math.fsum(terms) - x ** (2 * r - 1)) <= 1e-13 * max(scale, 1e-300)
+
+
+@settings(max_examples=100, deadline=None)
+@given(steps=st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=120),
+       level=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
+def test_hermite_decomposition_on_random_walks(steps, level, seed):
+    # the variation equals its Hermite recombination (criterion 2) on any walk
+    walk = np.concatenate([[0], np.cumsum(steps)])
+    sk = SkeletalStructure(level=level, times=np.arange(len(walk), dtype=float),
+                           walk=walk, mode="naive", source={})
+    x = sample_fbm_two_sided(0.3, dyadic_step(level),
+                             int(np.max(np.abs(walk))) + 2, seed=seed)
+    counts = crossing_counts(sk, (len(walk) - 1) * 2.0**-level)
+    for lhs, rhs in decompose_variation(sine(), x, counts).values():
+        assert abs(lhs - rhs) <= max(1e-9 * max(abs(lhs), abs(rhs)), 1e-12)
 
 
 class TestRescaledIncrement:
