@@ -30,15 +30,17 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
 from .fgn import (ExtentError, FbmPath, HurstParameter, dyadic_step,
-                  floor_steps, increment_autocovariance, sample_fbm_two_sided)
+                  floor_steps, increment_autocovariance, sample_fbm_rows,
+                  sample_fbm_two_sided)
 from .skeleton import killed_position, sample_exit_times
 from .stats import (PerLevelReport, SampleSummary, check_layout,
                     fit_log2_slope, is_integral, ks_two_sample)
-from .streams import SeedRecord, as_seed_record
+from .streams import KeyedPhilox, SeedRecord, as_seed_record
 from .variations import SmoothFunction, symmetric_cell_sum
 
 __all__ = [
@@ -329,7 +331,13 @@ def correction_std(f: SmoothFunction, x: np.ndarray, width: float,
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """Monte Carlo layout for one branch verification."""
+    """Monte Carlo layout for one branch verification.
+
+    ``workers`` threads spread the supercritical replicas and the critical
+    left-hand draws; the subcritical replicas and the critical right-hand
+    draws take one pass per level (``_walk_ends_and_x``).  Results do not
+    depend on it.
+    """
 
     hurst: float
     f: SmoothFunction
@@ -397,19 +405,37 @@ def _branch_supercritical_level(cfg: VerifyConfig, level: int) -> dict:
     }
 
 
-def _walk_end_and_x(cfg: VerifyConfig, level: int, rec: SeedRecord) -> tuple:
-    """Terminal index of the exact level-n walk at t, and X over its cells.
+def _walk_ends_and_x(cfg: VerifyConfig, level: int, role: str) -> Iterator[tuple]:
+    """(replica, terminal index, X) for every replica of one level whose exact
+    level-n walk ends at t on a nonzero index j*.
 
-    X (spacing 2^{-n/2}) is drawn only when the terminal index is nonzero;
-    otherwise every cell sum is empty and X is None.
+    Replica r draws from the streams of ``SeedRecord(seed).derive(role,
+    level, r)``: j* from "walk", then X (spacing 2^{-n/2}, half extent the
+    least power of two >= |j*| + 2) from "fbm".  Replicas with j* = 0 have
+    every cell sum empty and draw no X.  The streams are keyed in bulk and X
+    is drawn in batches of equal extent, with the same draws per replica.
     """
     steps = floor_steps(level, cfg.t)
-    jstar = 2 * int(rec.derive("walk").generator().binomial(steps, 0.5)) - steps
-    if jstar == 0:
-        return 0, None
-    half = _pow2_at_least(abs(jstar) + 2)
-    return jstar, sample_fbm_two_sided(cfg.hurst, dyadic_step(level), half,
-                                       rec.derive("fbm"))
+    rec = SeedRecord(cfg.seed).derive(role, level)
+    stream = KeyedPhilox()
+    walk_keys = rec.philox_keys(np.arange(cfg.replicas), "walk")
+    jstar = np.array([2 * int(stream.at(k).binomial(steps, 0.5)) - steps
+                      for k in walk_keys], dtype=np.int64)
+    drawn = np.flatnonzero(jstar)
+    halves = np.array([_pow2_at_least(abs(j) + 2) for j in jstar[drawn].tolist()],
+                      dtype=np.int64)
+    fbm_keys = rec.philox_keys(drawn, "fbm")
+    h = HurstParameter(cfg.hurst)
+    a = dyadic_step(level)
+    for half in np.unique(halves).tolist():
+        same = halves == half
+        reps = iter(drawn[same].tolist())
+        for values, used in sample_fbm_rows(h, a, half, fbm_keys[same], stream):
+            for row in values:
+                rep = next(reps)
+                yield rep, int(jstar[rep]), FbmPath(
+                    hurst=h, spacing=a, half_extent=half, values=row,
+                    seed_record=rec.derive(rep, "fbm"), method=used)
 
 
 def _critical_lhs(cfg: VerifyConfig, rec: SeedRecord) -> float:
@@ -433,12 +459,10 @@ def _branch_critical_level(cfg: VerifyConfig, level: int) -> dict:
     def lhs(rep: int) -> float:
         return _critical_lhs(cfg, base.derive("critical-lhs", level, rep))
 
-    def rhs(rep: int) -> float:
-        jstar, x = _walk_end_and_x(cfg, level, base.derive("critical-rhs", level, rep))
-        return 0.0 if x is None else symmetric_cell_sum(f1, x, level, jstar, 1)
-
     lhs_pool = np.array(_map_replicas(lhs, cfg.replicas, cfg.workers))
-    rhs_pool = np.array(_map_replicas(rhs, cfg.replicas, cfg.workers))
+    rhs_pool = np.zeros(cfg.replicas)
+    for rep, jstar, x in _walk_ends_and_x(cfg, level, "critical-rhs"):
+        rhs_pool[rep] = symmetric_cell_sum(f1, x, level, jstar, 1)
     ks = ks_two_sample(lhs_pool, rhs_pool)
     return {"ks_distance": ks.statistic, "ks_p": ks.p_value,
             "lhs_std": float(lhs_pool.std(ddof=1)),
@@ -446,21 +470,15 @@ def _branch_critical_level(cfg: VerifyConfig, level: int) -> dict:
 
 
 def _branch_subcritical_level(cfg: VerifyConfig, level: int) -> dict:
-    base = SeedRecord(cfg.seed)
-
-    def one(rep: int) -> float:
+    vals = np.zeros(cfg.replicas)
+    for rep, jstar, x in _walk_ends_and_x(cfg, level, "subcritical"):
         # unweighted cube sum: symmetric_cell_sum with a constant weight
         # gives the same bits but evaluates the weight on every cell
-        jstar, x = _walk_end_and_x(cfg, level, base.derive("subcritical", level, rep))
-        if x is None:
-            return 0.0
         half = x.half_extent
         j = np.arange(0, jstar) if jstar > 0 else np.arange(jstar, 0)
         d = x.values[j + 1 + half] - x.values[j + half]
         sgn = 1.0 if jstar > 0 else -1.0
-        return sgn * math.fsum((d * d * d).tolist())
-
-    vals = np.array(_map_replicas(one, cfg.replicas, cfg.workers))
+        vals[rep] = sgn * math.fsum((d * d * d).tolist())
     s = SampleSummary.from_samples(vals)
     return {"mean": s.mean, "variance": s.variance,
             "var_stderr": float(s.variance * math.sqrt(2.0 / (len(vals) - 1)))}

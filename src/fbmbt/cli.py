@@ -99,7 +99,10 @@ def _build_parser() -> _Parser:
     v.add_argument("--levels", default="8,10,12,14",
                    help="comma-separated increasing levels")
     v.add_argument("--replicas", type=int, default=500)
-    v.add_argument("--workers", type=int, default=1)
+    v.add_argument("--workers", type=int, default=1,
+                   help="threads over the supercritical replicas and the "
+                        "critical left-hand draws (the other draws take one "
+                        "pass per level)")
     v.add_argument("--kappa3", type=float, default=None)
     v.add_argument("--slope-tolerance", type=float, default=0.10)
     v.add_argument("--csv", default=None,

@@ -33,10 +33,11 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
-from .streams import SeedRecord, as_seed_record
+from .streams import KeyedPhilox, SeedRecord, as_seed_record
 
 __all__ = [
     "CRITICAL_HURST",
@@ -49,6 +50,7 @@ __all__ = [
     "increment_autocovariance",
     "sample_fgn",
     "sample_fbm_two_sided",
+    "sample_fbm_rows",
     "sample_bm",
     "dyadic_step",
     "uniform_step",
@@ -63,6 +65,10 @@ _CRITICAL_TOL = 1e-12
 
 # Grid size cap for the O(M^3) Cholesky fallback.
 _CHOLESKY_MAX = 4096
+
+# Working-array bytes per chunk of sample_fbm_rows, at 72 bytes per
+# increment of a row: normals, half-spectrum, irfft output, sums and path.
+_BATCH_BYTES = 2**20
 
 FORMAT_VERSION = 1
 
@@ -185,6 +191,12 @@ def _sample_fgn_embedding(rng: np.random.Generator, n_inc: int, hvalue: float,
     # Hermitian half-spectrum draw: W_0, W_n real; interior complex.
     re = rng.standard_normal((size, n_inc + 1))
     im = rng.standard_normal((size, n_inc - 1))
+    return _embed(re, im, weights)
+
+
+def _embed(re: np.ndarray, im: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """fGn rows from the normals of their half-spectra, one row per row of re."""
+    size, n_inc = re.shape[0], re.shape[1] - 1
     w = np.empty((size, n_inc + 1), dtype=complex)
     np.multiply(re, weights, out=w.real)
     w.imag[:, 0] = 0.0
@@ -210,6 +222,14 @@ def _sample_fgn_cholesky(rng: np.random.Generator, n_inc: int, hvalue: float,
     return z @ chol.T
 
 
+def _warn_fallback() -> None:
+    warnings.warn(
+        "circulant embedding spectrum defective; falling back to Cholesky",
+        RuntimeWarning,
+        stacklevel=4,
+    )
+
+
 def _sample_fgn(rng: np.random.Generator, n_inc: int, hvalue: float,
                 size: int = 1, method: str = "auto") -> tuple[np.ndarray, str]:
     if method not in ("auto", "embedding", "cholesky"):
@@ -221,12 +241,31 @@ def _sample_fgn(rng: np.random.Generator, n_inc: int, hvalue: float,
     except EmbeddingError:
         if method == "embedding":
             raise
-        warnings.warn(
-            "circulant embedding spectrum defective; falling back to Cholesky",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+        _warn_fallback()
         return _sample_fgn_cholesky(rng, n_inc, hvalue, size), "cholesky"
+
+
+def _sample_fgn_rows(keys: np.ndarray, stream: KeyedPhilox, n_inc: int,
+                     hvalue: float) -> tuple[np.ndarray, str]:
+    """One row of standardized fGn per Philox key, and the method.
+
+    Row i is ``_sample_fgn``'s size-1 draw from the generator at ``keys[i]``:
+    each row's normals come from its own stream in the same order, and one
+    embedding and ``irfft`` call serve all rows.
+    """
+    try:
+        weights = _embedding_weights(n_inc, hvalue)
+    except EmbeddingError:
+        _warn_fallback()
+        return np.vstack([_sample_fgn_cholesky(stream.at(k), n_inc, hvalue)
+                          for k in keys]), "cholesky"
+    re = np.empty((len(keys), n_inc + 1))
+    im = np.empty((len(keys), n_inc - 1))
+    for k, re_row, im_row in zip(keys, re, im):
+        rng = stream.at(k)
+        rng.standard_normal(out=re_row)
+        rng.standard_normal(out=im_row)
+    return _embed(re, im, weights), "circulant"
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +364,25 @@ def sample_fgn(hurst, spacing: float, n_inc: int,
     return _scaled_fgn(h, spacing, n_inc, as_seed_record(seed), "auto")[0]
 
 
+def _check_two_sided(hurst, spacing: float, half_extent: int) -> tuple:
+    """Validated (HurstParameter, half_extent) of a two-sided grid."""
+    h = HurstParameter(_hvalue(hurst))
+    _check_positive_finite("spacing", spacing)
+    half_extent = int(half_extent)
+    if half_extent < 1:
+        raise ValueError(f"half_extent must be >= 1, got {half_extent}")
+    return h, half_extent
+
+
+def _two_sided(inc: np.ndarray, half_extent: int) -> np.ndarray:
+    """Cumulative sums of (rows of) increments, re-based to 0 at half_extent."""
+    cs = np.zeros(inc.shape[:-1] + (inc.shape[-1] + 1,))
+    np.cumsum(inc, axis=-1, out=cs[..., 1:])
+    values = cs - cs[..., half_extent, None]
+    values[..., half_extent] = 0.0
+    return values
+
+
 def sample_fbm_two_sided(hurst, spacing: float, half_extent: int,
                          seed: "int | SeedRecord", method: str = "auto") -> FbmPath:
     """Exact two-sided fBm path; deterministic given the seed record.
@@ -332,18 +390,30 @@ def sample_fbm_two_sided(hurst, spacing: float, half_extent: int,
     The values are the cumulative sum of ``sample_fgn`` over
     ``2 * half_extent`` increments, re-based at the middle of the grid.
     """
-    h = HurstParameter(_hvalue(hurst))
-    _check_positive_finite("spacing", spacing)
-    half_extent = int(half_extent)
-    if half_extent < 1:
-        raise ValueError(f"half_extent must be >= 1, got {half_extent}")
+    h, half_extent = _check_two_sided(hurst, spacing, half_extent)
     record = as_seed_record(seed)
     inc, used = _scaled_fgn(h, spacing, 2 * half_extent, record, method)
-    cs = np.concatenate([[0.0], np.cumsum(inc)])
-    values = cs - cs[half_extent]
-    values[half_extent] = 0.0
+    values = _two_sided(inc, half_extent)
     return FbmPath(hurst=h, spacing=float(spacing), half_extent=half_extent,
                    values=values, seed_record=record, method=used)
+
+
+def sample_fbm_rows(hurst, spacing: float, half_extent: int, keys: np.ndarray,
+                    stream: KeyedPhilox) -> Iterator[tuple[np.ndarray, str]]:
+    """Two-sided fBm paths, one per Philox key, in chunks of rows.
+
+    Row i equals ``sample_fbm_two_sided(hurst, spacing, half_extent,
+    record).values`` for the record whose Philox key is ``keys[i]``
+    (``SeedRecord.philox_keys``), bit for bit.  Each chunk's embedding and
+    ``irfft`` run in one call, on about ``_BATCH_BYTES`` of working arrays.
+    Yields (values, method) with values of shape (rows, 2 * half_extent + 1).
+    """
+    h, half_extent = _check_two_sided(hurst, spacing, half_extent)
+    n_inc = 2 * half_extent
+    rows = max(1, _BATCH_BYTES // (72 * n_inc))
+    for start in range(0, len(keys), rows):
+        fgn, used = _sample_fgn_rows(keys[start:start + rows], stream, n_inc, h.value)
+        yield _two_sided(fgn * spacing**h.value, half_extent), used
 
 
 def sample_bm(horizon: float, spacing: float, seed: "int | SeedRecord") -> BmPath:

@@ -8,14 +8,15 @@ import pytest
 import sympy
 
 from fbmbt.calculus import (KAPPA3, VerificationReport, VerifyConfig,
-                            _skeletal_z_values, correction_std, evaluate_gate,
-                            ito_residual, sample_joint, taylor_coefficients,
-                            verify_branch)
+                            _skeletal_z_values, _walk_ends_and_x,
+                            correction_std, evaluate_gate, ito_residual,
+                            sample_joint, taylor_coefficients, verify_branch)
 from fbmbt.fgn import increment_autocovariance, sample_fbm_two_sided
 from fbmbt.scaling import power_variation
 from fbmbt.skeleton import crossing_counts
 from fbmbt.streams import SeedRecord
 from fbmbt.variations import function_by_name, polynomial, sine
+from replica_draw import walk_end_and_x
 
 
 class TestTaylorScheme:
@@ -247,12 +248,15 @@ class TestVerifyBranch:
         assert 0 <= r1.per_level[0]["ks_distance"] <= 1
 
     def test_workers_do_not_change_results(self):
-        base = VerifyConfig(hurst=0.1, f=sine(), t=1.0, levels=(4, 6, 8),
-                            replicas=50, seed=4)
-        threaded = VerifyConfig(hurst=0.1, f=sine(), t=1.0, levels=(4, 6, 8),
-                                replicas=50, seed=4, workers=4)
-        assert verify_branch("subcritical", base).body_dict() == \
-            verify_branch("subcritical", threaded).body_dict()
+        # the branches whose replicas the workers spread: the supercritical
+        # replicas and the critical left-hand side
+        for branch, hurst in (("supercritical", 0.35), ("critical", 1 / 6)):
+            base = VerifyConfig(hurst=hurst, f=sine(), t=1.0, levels=(4, 6),
+                                replicas=50, seed=4)
+            threaded = VerifyConfig(hurst=hurst, f=sine(), t=1.0, levels=(4, 6),
+                                    replicas=50, seed=4, workers=4)
+            assert verify_branch(branch, base).body_dict() == \
+                verify_branch(branch, threaded).body_dict()
 
     def test_subcritical_report_has_slope(self):
         cfg = VerifyConfig(hurst=0.1, f=sine(), t=1.0, levels=(4, 6, 8),
@@ -281,6 +285,36 @@ class TestVerifyBranch:
         csv = report.per_level_csv()
         assert csv.splitlines()[0] == "level,variance"
         assert csv.splitlines()[1] == "4,1.0"
+
+
+class TestLevelDraw:
+    """One pass over a level draws what each replica drew on its own."""
+
+    @pytest.mark.parametrize("role, hurst", [("subcritical", 0.1),
+                                             ("critical-rhs", 1 / 6)])
+    @pytest.mark.parametrize("level, t", [(4, 1.0), (9, 0.7), (12, 1.0)])
+    def test_every_replica_matches_the_per_replica_draw(self, role, hurst, level, t):
+        cfg = VerifyConfig(hurst=hurst, f=sine(), t=t, levels=(level,),
+                           replicas=150, seed=57)
+        yielded = list(_walk_ends_and_x(cfg, level, role))
+        drawn = {rep: (jstar, x) for rep, jstar, x in yielded}
+        assert len(drawn) == len(yielded)
+        base = SeedRecord(57).derive(role, level)
+        signs = set()
+        for rep in range(cfg.replicas):
+            jstar, x = walk_end_and_x(cfg, level, base.derive(rep))
+            signs.add(int(np.sign(jstar)))
+            if x is None:
+                assert jstar == 0 and rep not in drawn
+                continue
+            j, path = drawn.pop(rep)
+            assert j == jstar
+            assert (path.hurst, path.spacing, path.half_extent, path.method,
+                    path.seed_record) == (x.hurst, x.spacing, x.half_extent,
+                                          x.method, x.seed_record)
+            np.testing.assert_array_equal(path.values, x.values)
+        assert not drawn
+        assert signs >= ({-1, 0, 1} if level == 4 else {-1, 1})
 
 
 class TestEvaluateGate:

@@ -8,9 +8,9 @@ import fbmbt.fgn as fgn_mod
 from fbmbt.fgn import (BmPath, EmbeddingError, FbmPath, HurstParameter,
                        coarsen, dyadic_step, fbm_covariance, floor_steps,
                        increment_autocovariance, read_path, sample_bm,
-                       sample_fbm_two_sided, sample_fgn, write_path,
-                       write_path_csv, _sample_fgn)
-from fbmbt.streams import SeedRecord
+                       sample_fbm_rows, sample_fbm_two_sided, sample_fgn,
+                       write_path, write_path_csv, _sample_fgn)
+from fbmbt.streams import KeyedPhilox, SeedRecord
 
 
 def _old_sample_fgn_embedding(rng, n_inc, hvalue, size=1):
@@ -303,6 +303,62 @@ class TestEmbeddingKernel:
         with pytest.raises(ValueError):
             weights[0] = 0.0
         assert fgn_mod._embedding_weights(64, 0.3) is weights
+
+
+class TestBatchedRows:
+    """Rows drawn in bulk equal the rows of one draw per record, bit for bit."""
+
+    @pytest.mark.parametrize("h", [0.1, 1 / 6, 0.35])
+    @pytest.mark.parametrize("n_inc", [2**k for k in range(2, 12)])
+    def test_rows_match_size_one_draws(self, n_inc, h):
+        rec = SeedRecord(53).derive("fbm", n_inc)
+        reps = np.array([0, 3, 9, 2**32 - 1])
+        rows, used = fgn_mod._sample_fgn_rows(rec.philox_keys(reps), KeyedPhilox(),
+                                              n_inc, h)
+        assert used == "circulant" and rows.shape == (len(reps), n_inc)
+        for rep, row in zip(reps.tolist(), rows):
+            single = fgn_mod._sample_fgn_embedding(rec.derive(rep).generator(),
+                                                   n_inc, h, 1)
+            np.testing.assert_array_equal(row, single[0])
+
+    @pytest.mark.parametrize("batch_bytes, half", [
+        (None, 2**10),           # 7 rows per chunk at 2^11 increments
+        (72 * 8 * 3, 4),         # 3 rows per chunk at 8 increments
+        (1, 2),                  # one row per chunk
+    ])
+    def test_paths_match_across_chunks(self, monkeypatch, batch_bytes, half):
+        if batch_bytes is not None:
+            monkeypatch.setattr(fgn_mod, "_BATCH_BYTES", batch_bytes)
+        rec = SeedRecord(54).derive("critical-rhs", 12)
+        reps = np.arange(40)
+        spacing = dyadic_step(12)
+        chunks = list(sample_fbm_rows(1 / 6, spacing, half,
+                                      rec.philox_keys(reps, "fbm"), KeyedPhilox()))
+        assert len(chunks) > 1
+        rows = np.vstack([values for values, _ in chunks])
+        assert rows.shape == (len(reps), 2 * half + 1)
+        for rep, row in zip(reps.tolist(), rows):
+            path = sample_fbm_two_sided(1 / 6, spacing, half, rec.derive(rep, "fbm"))
+            np.testing.assert_array_equal(row, path.values)
+
+    def test_defective_spectrum_falls_back_to_cholesky(self, defective_spectrum):
+        rec = SeedRecord(55).derive("subcritical", 8)
+        reps = np.arange(3)
+        with pytest.warns(RuntimeWarning, match="falling back"):
+            chunks = list(sample_fbm_rows(0.3, 0.1, 8, rec.philox_keys(reps, "fbm"),
+                                          KeyedPhilox()))
+        assert [used for _, used in chunks] == ["cholesky"]
+        for rep, row in zip(reps.tolist(), chunks[0][0]):
+            with pytest.warns(RuntimeWarning, match="falling back"):
+                path = sample_fbm_two_sided(0.3, 0.1, 8, rec.derive(rep, "fbm"))
+            assert path.method == "cholesky"
+            np.testing.assert_array_equal(row, path.values)
+
+    def test_rejects_bad_arguments(self):
+        keys = SeedRecord(56).philox_keys(np.arange(2))
+        for args in ((0.3, 0.0, 4), (0.3, 0.1, 0), (1.0, 0.1, 4)):
+            with pytest.raises(ValueError):
+                next(sample_fbm_rows(*args, keys, KeyedPhilox()))
 
 
 class TestOneSidedFgn:
