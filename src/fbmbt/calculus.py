@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -41,7 +40,7 @@ from .skeleton import killed_position, sample_exit_times
 from .stats import (PerLevelReport, SampleSummary, check_layout,
                     fit_log2_slope, is_integral, ks_two_sample)
 from .streams import KeyedPhilox, SeedRecord, as_seed_record
-from .variations import SmoothFunction, symmetric_cell_sum
+from .variations import SmoothFunction, _cell_sum
 
 __all__ = [
     "KAPPA3",
@@ -121,8 +120,10 @@ def _increment_precision(m: int, hvalue: float) -> np.ndarray:
     return precision
 
 
-def _x_conditional(x: FbmPath, y: float) -> tuple:
-    """Mean and std of X(y) given every increment of the grid x.
+def _x_conditional(values: np.ndarray, spacing: float, hvalue: float,
+                   y: float) -> tuple:
+    """Mean and std of X(y) given every increment of the two-sided grid
+    ``values`` (spacing ``spacing``, time zero in the middle).
 
     In grid units (s = y/spacing, r = floor(s)) the standardized increment
     X(s) - X(r) has covariance c_k with the k-th grid increment and variance
@@ -130,23 +131,30 @@ def _x_conditional(x: FbmPath, y: float) -> tuple:
     whose inverse depends on (M, H) only and is cached.
     notes/decisions.md has the derivation.
     """
-    h2 = 2.0 * x.hurst.value
-    m = x.half_extent
-    s = y / x.spacing
+    h2 = 2.0 * hvalue
+    m = len(values) // 2
+    s = y / spacing
     r = math.floor(s)
     # c_k = (g(p_k) - g(q_k))/2 on the grid points p_k = k - M, q_k = p_k + 1;
     # it is exactly 0 when s == r, so an on-grid y gives the grid value
     u = np.arange(-m, m + 1, dtype=float)
     g = np.abs(s - u) ** h2 - np.abs(r - u) ** h2
     c = 0.5 * (g[:-1] - g[1:])
-    w = _increment_precision(m, x.hurst.value) @ c
-    mean = float(x.values[r + m]) + float(w @ np.diff(x.values))
-    std = x.spacing ** x.hurst.value * math.sqrt(max((s - r) ** h2 - float(w @ c), 0.0))
+    w = _increment_precision(m, hvalue) @ c
+    mean = float(values[r + m]) + float(w @ np.diff(values))
+    std = spacing ** hvalue * math.sqrt(max((s - r) ** h2 - float(w @ c), 0.0))
     return mean, std
 
 
-def sample_joint(hurst, level: int, t: float, seed: "int | SeedRecord") -> JointSample:
-    """Draw the level-n walk of Y up to N = floor(2^n t), Y_t, X and Z_t = X(Y_t).
+def _z_at(values: np.ndarray, spacing: float, hvalue: float, y_t: float,
+          normal: float) -> float:
+    """Z_t = X(Y_t) given the grid: the conditional mean plus std * normal."""
+    mean, std = _x_conditional(values, spacing, hvalue, y_t)
+    return mean + std * normal
+
+
+def _clock_draw(clock: np.random.Generator, level: int, t: float) -> tuple:
+    """The level-n walk of Y up to N = floor(2^n t), Y_t and X's half extent.
 
     No path of Y is drawn.  The walk signs are fair coins and the holding
     times i.i.d. copies of 2^{-n} tau (``sample_exit_times``).  If the N-th
@@ -155,16 +163,12 @@ def sample_joint(hurst, level: int, t: float, seed: "int | SeedRecord") -> Joint
     inside its cell at the position of a Brownian motion that has not left
     the cell after the elapsed time (``killed_position``), and step k goes
     up with probability (1 + U)/2, U that position in cell units.  Every
-    draw is exact (notes/decisions.md).  X is drawn on the level's grid,
-    sized to the walk range and |Y_t| (rounded up to a power of two so
-    embedding spectra are shared across replicas), and Z_t from its exact
-    law given that grid.
+    draw is exact (notes/decisions.md).  The half extent of the X grid, in
+    cells, covers the walk range and |Y_t| and is a power of two, so
+    embedding spectra are shared across replicas.  Returns (walk, y_t, half).
     """
-    record = as_seed_record(seed)
-    h = HurstParameter(float(hurst) if not isinstance(hurst, HurstParameter) else hurst.value)
     n_steps = floor_steps(level, t)
     a = dyadic_step(level)
-    clock = record.derive("bm").generator()
     hits = np.cumsum(sample_exit_times(clock, n_steps))
     steps = 2 * clock.integers(0, 2, size=n_steps) - 1
     done = int(np.searchsorted(hits, t * 2.0**level, side="right"))  # = k - 1
@@ -180,9 +184,23 @@ def sample_joint(hurst, level: int, t: float, seed: "int | SeedRecord") -> Joint
     walk = np.concatenate([[0], np.cumsum(steps)])
     walk_reach = int(np.max(np.abs(walk))) + 1
     need = max(walk_reach * a, abs(y_t) + 2 * a, 4 * a)
-    x = sample_fbm_two_sided(h, a, _pow2_at_least(need / a), record.derive("fbm"))
-    mean, std = _x_conditional(x, y_t)
-    z_t = mean + std * float(record.derive("fbm", 1).generator().standard_normal())
+    return walk, y_t, _pow2_at_least(need / a)
+
+
+def sample_joint(hurst, level: int, t: float, seed: "int | SeedRecord") -> JointSample:
+    """Draw the level-n walk of Y up to N = floor(2^n t), Y_t, X and Z_t = X(Y_t).
+
+    The walk and Y_t come from the record's "bm" stream (``_clock_draw``),
+    X on the level's grid from "fbm", and Z_t from its exact law given that
+    grid with one normal from ("fbm", 1).
+    """
+    record = as_seed_record(seed)
+    h = HurstParameter(float(hurst) if not isinstance(hurst, HurstParameter) else hurst.value)
+    a = dyadic_step(level)
+    walk, y_t, half = _clock_draw(record.derive("bm").generator(), level, t)
+    x = sample_fbm_two_sided(h, a, half, record.derive("fbm"))
+    normal = float(record.derive("fbm", 1).generator().standard_normal())
+    z_t = _z_at(x.values, a, h.value, y_t, normal)
     return JointSample(x=x, walk=walk, level=level, seed_record=record,
                        t=float(t), y_t=y_t, z_t=z_t)
 
@@ -298,9 +316,17 @@ def ito_residual_pair(f: SmoothFunction, js: JointSample) -> tuple:
     cell sum up to the walk's index at T_N (criterion 1's identity).
     """
     terminal = int(js.walk[-1])
-    v = symmetric_cell_sum(_as_weight(f, 1), js.x, js.level, terminal, 1)
-    z_end = js.x.values[terminal + js.x.half_extent]
-    return float(f(js.z_t) - f(0.0) - v), float(f(z_end) - f(0.0) - v)
+    if abs(terminal) > js.x.half_extent:
+        raise ExtentError("spatial grid does not cover the walk end")
+    return _residual_pair(f, js.x.values, terminal, js.z_t)
+
+
+def _residual_pair(f: SmoothFunction, values: np.ndarray, terminal: int,
+                   z_t: float) -> tuple:
+    """``ito_residual_pair`` from the level's X grid values, unchecked."""
+    v = _cell_sum(_as_weight(f, 1), values, 1, terminal, 1)
+    z_end = values[terminal + len(values) // 2]
+    return float(f(z_t) - f(0.0) - v), float(f(z_end) - f(0.0) - v)
 
 
 def ito_residual(f: SmoothFunction, js: JointSample) -> float:
@@ -314,15 +340,19 @@ def _as_weight(f: SmoothFunction, order: int) -> SmoothFunction:
                           derivatives=f.derivatives[order:])
 
 
-def correction_std(f: SmoothFunction, x: np.ndarray, width: float,
-                   kappa3: float = KAPPA3) -> float:
+def correction_std(f: SmoothFunction, x: np.ndarray, width,
+                   kappa3: float = KAPPA3) -> "float | np.ndarray":
     """(kappa3/12) sqrt(width * sum_j f'''(x_j)^2), x_j at the cells' left ends.
+
+    ``x`` may hold one row of left ends per draw, with ``width`` a scalar or
+    one width per row; the result then holds one std per row.
 
     Given X, the forward sum of (kappa3/12) f'''(X) dW over the cells, W a
     Brownian motion independent of X, is normal with mean 0 and this std.
     """
     f3 = np.asarray(f.derivative(3)(x), dtype=float)
-    return (kappa3 / 12.0) * math.sqrt(width * float(np.add.reduce(f3 * f3)))
+    std = (kappa3 / 12.0) * np.sqrt(width * np.add.reduce(f3 * f3, axis=-1))
+    return float(std) if np.ndim(std) == 0 else std
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +363,8 @@ def correction_std(f: SmoothFunction, x: np.ndarray, width: float,
 class VerifyConfig:
     """Monte Carlo layout for one branch verification.
 
-    ``workers`` threads spread the supercritical replicas and the critical
-    left-hand draws; the subcritical replicas and the critical right-hand
-    draws take one pass per level (``_walk_ends_and_x``).  Results do not
-    depend on it.
+    Every branch draws each level in one pass.  ``workers`` is validated
+    but has no effect; it is kept because existing callers pass it.
     """
 
     hurst: float
@@ -376,26 +404,45 @@ class VerificationReport(PerLevelReport):
     schema_version: int = REPORT_SCHEMA_VERSION
 
 
-def _map_replicas(fn, reps: int, workers: int) -> list:
-    if workers <= 1:
-        return [fn(r) for r in range(reps)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(reps)))
+def _supercritical_pairs(cfg: VerifyConfig, level: int) -> tuple:
+    """The residual pairs of every replica of one level, drawn in one pass.
+
+    Entry r of each array is ``ito_residual_pair(f, sample_joint(hurst,
+    level, t, SeedRecord(seed).derive("supercritical", level, r)))``.  Each
+    replica's clock is drawn from its re-keyed "bm" stream and only (walk
+    end, half extent, Y_t) are kept; X rows are then drawn in batches of
+    equal half extent.
+    """
+    rec = SeedRecord(cfg.seed).derive("supercritical", level)
+    reps = np.arange(cfg.replicas)
+    stream = KeyedPhilox()
+    terminal = np.empty(cfg.replicas, dtype=np.int64)
+    halves = np.empty(cfg.replicas, dtype=np.int64)
+    y_t = np.empty(cfg.replicas)
+    for rep, key in enumerate(rec.philox_keys(reps, "bm")):
+        walk, y_t[rep], halves[rep] = _clock_draw(stream.at(key), level, cfg.t)
+        terminal[rep] = walk[-1]
+    normals = [float(stream.at(k).standard_normal())
+               for k in rec.philox_keys(reps, "fbm", 1)]
+    fbm_keys = rec.philox_keys(reps, "fbm")
+    a = dyadic_step(level)
+    res = np.empty(cfg.replicas)
+    res_end = np.empty(cfg.replicas)
+    for half in np.unique(halves).tolist():
+        same = np.flatnonzero(halves == half)
+        group = iter(same.tolist())
+        for values, _ in sample_fbm_rows(cfg.hurst, a, half, fbm_keys[same], stream):
+            for row in values:
+                rep = next(group)
+                z_t = _z_at(row, a, cfg.hurst, float(y_t[rep]), normals[rep])
+                res[rep], res_end[rep] = _residual_pair(cfg.f, row, int(terminal[rep]), z_t)
+    return res, res_end
 
 
 def _branch_supercritical_level(cfg: VerifyConfig, level: int) -> dict:
-    base = SeedRecord(cfg.seed)
-
-    def one(rep: int) -> tuple:
-        js = sample_joint(cfg.hurst, level, cfg.t,
-                          base.derive("supercritical", level, rep))
-        return ito_residual_pair(cfg.f, js)
-
-    pairs = _map_replicas(one, cfg.replicas, cfg.workers)
-    res = np.abs(np.array([p[0] for p in pairs]))
-    res_end = np.abs(np.array([p[1] for p in pairs]))
-    s = SampleSummary.from_samples(res)
-    end = SampleSummary.from_samples(res_end)
+    res, res_end = _supercritical_pairs(cfg, level)
+    s = SampleSummary.from_samples(np.abs(res))
+    end = SampleSummary.from_samples(np.abs(res_end))
     return {
         "mean_abs": s.mean,
         "p90": s.p90,
@@ -406,14 +453,15 @@ def _branch_supercritical_level(cfg: VerifyConfig, level: int) -> dict:
 
 
 def _walk_ends_and_x(cfg: VerifyConfig, level: int, role: str) -> Iterator[tuple]:
-    """(replica, terminal index, X) for every replica of one level whose exact
-    level-n walk ends at t on a nonzero index j*.
+    """(replica, terminal index, X values) for every replica of one level
+    whose exact level-n walk ends at t on a nonzero index j*.
 
     Replica r draws from the streams of ``SeedRecord(seed).derive(role,
     level, r)``: j* from "walk", then X (spacing 2^{-n/2}, half extent the
-    least power of two >= |j*| + 2) from "fbm".  Replicas with j* = 0 have
-    every cell sum empty and draw no X.  The streams are keyed in bulk and X
-    is drawn in batches of equal extent, with the same draws per replica.
+    least power of two >= |j*| + 2, time zero in the middle) from "fbm".
+    Replicas with j* = 0 have every cell sum empty and draw no X.  The
+    streams are keyed in bulk and X is drawn in batches of equal extent,
+    with the same draws per replica.
     """
     steps = floor_steps(level, cfg.t)
     rec = SeedRecord(cfg.seed).derive(role, level)
@@ -425,44 +473,52 @@ def _walk_ends_and_x(cfg: VerifyConfig, level: int, role: str) -> Iterator[tuple
     halves = np.array([_pow2_at_least(abs(j) + 2) for j in jstar[drawn].tolist()],
                       dtype=np.int64)
     fbm_keys = rec.philox_keys(drawn, "fbm")
-    h = HurstParameter(cfg.hurst)
     a = dyadic_step(level)
     for half in np.unique(halves).tolist():
         same = halves == half
         reps = iter(drawn[same].tolist())
-        for values, used in sample_fbm_rows(h, a, half, fbm_keys[same], stream):
+        for values, _ in sample_fbm_rows(cfg.hurst, a, half, fbm_keys[same], stream):
             for row in values:
                 rep = next(reps)
-                yield rep, int(jstar[rep]), FbmPath(
-                    hurst=h, spacing=a, half_extent=half, values=row,
-                    seed_record=rec.derive(rep, "fbm"), method=used)
+                yield rep, int(jstar[rep]), row
 
 
-def _critical_lhs(cfg: VerifyConfig, rec: SeedRecord) -> float:
-    """One draw of f(Z_t) - f(0) + (kappa3/12) int_0^{Y_t} f'''(X) dW."""
+def _critical_lhs(cfg: VerifyConfig, level: int) -> np.ndarray:
+    """Draws of f(Z_t) - f(0) + (kappa3/12) int_0^{Y_t} f'''(X) dW, one per
+    replica r of the level, from ``SeedRecord(seed).derive("critical-lhs",
+    level, r)``: Y_t from "bm", X from "fbm" and the correction's normal
+    from "wiener".
+    """
     # In law, X over [Y_t, 0] is X over [0, |Y_t|], which is |Y_t|^H times
     # X over [0, 1]; fGn is stationary, so the unit grid re-based at its left
     # end is X on [0, 1], and Z_t is its last value (notes/decisions.md).
-    y_t = math.sqrt(cfg.t) * float(rec.derive("bm").generator().standard_normal())
-    unit = sample_fbm_two_sided(cfg.hurst, 1.0 / LHS_CELLS, LHS_CELLS // 2,
-                                rec.derive("fbm")).values
-    x = (unit - unit[0]) * abs(y_t) ** cfg.hurst
-    g = float(rec.derive("wiener").generator().standard_normal())
-    corr = correction_std(cfg.f, x[:-1], abs(y_t) / LHS_CELLS, cfg.kappa3) * g
-    return float(cfg.f(x[-1]) - cfg.f(0.0) + corr)
+    rec = SeedRecord(cfg.seed).derive("critical-lhs", level)
+    reps = np.arange(cfg.replicas)
+    stream = KeyedPhilox()
+    y_t = [math.sqrt(cfg.t) * float(stream.at(k).standard_normal())
+           for k in rec.philox_keys(reps, "bm")]
+    normals = np.array([float(stream.at(k).standard_normal())
+                        for k in rec.philox_keys(reps, "wiener")])
+    scale = np.array([abs(y) ** cfg.hurst for y in y_t])
+    width = np.abs(y_t) / LHS_CELLS
+    lhs = np.empty(cfg.replicas)
+    start = 0
+    for unit, _ in sample_fbm_rows(cfg.hurst, 1.0 / LHS_CELLS, LHS_CELLS // 2,
+                                   rec.philox_keys(reps, "fbm"), stream):
+        rows = slice(start, start + len(unit))
+        x = (unit - unit[:, :1]) * scale[rows, None]
+        corr = correction_std(cfg.f, x[:, :-1], width[rows], cfg.kappa3) * normals[rows]
+        lhs[rows] = cfg.f(x[:, -1]) - cfg.f(0.0) + corr
+        start += len(unit)
+    return lhs
 
 
 def _branch_critical_level(cfg: VerifyConfig, level: int) -> dict:
-    base = SeedRecord(cfg.seed)
     f1 = _as_weight(cfg.f, 1)
-
-    def lhs(rep: int) -> float:
-        return _critical_lhs(cfg, base.derive("critical-lhs", level, rep))
-
-    lhs_pool = np.array(_map_replicas(lhs, cfg.replicas, cfg.workers))
+    lhs_pool = _critical_lhs(cfg, level)
     rhs_pool = np.zeros(cfg.replicas)
-    for rep, jstar, x in _walk_ends_and_x(cfg, level, "critical-rhs"):
-        rhs_pool[rep] = symmetric_cell_sum(f1, x, level, jstar, 1)
+    for rep, jstar, row in _walk_ends_and_x(cfg, level, "critical-rhs"):
+        rhs_pool[rep] = _cell_sum(f1, row, 1, jstar, 1)
     ks = ks_two_sample(lhs_pool, rhs_pool)
     return {"ks_distance": ks.statistic, "ks_p": ks.p_value,
             "lhs_std": float(lhs_pool.std(ddof=1)),
@@ -471,12 +527,12 @@ def _branch_critical_level(cfg: VerifyConfig, level: int) -> dict:
 
 def _branch_subcritical_level(cfg: VerifyConfig, level: int) -> dict:
     vals = np.zeros(cfg.replicas)
-    for rep, jstar, x in _walk_ends_and_x(cfg, level, "subcritical"):
-        # unweighted cube sum: symmetric_cell_sum with a constant weight
-        # gives the same bits but evaluates the weight on every cell
-        half = x.half_extent
+    for rep, jstar, row in _walk_ends_and_x(cfg, level, "subcritical"):
+        # unweighted cube sum: _cell_sum with a constant weight gives the
+        # same bits but evaluates the weight on every cell
+        half = len(row) // 2
         j = np.arange(0, jstar) if jstar > 0 else np.arange(jstar, 0)
-        d = x.values[j + 1 + half] - x.values[j + half]
+        d = row[j + 1 + half] - row[j + half]
         sgn = 1.0 if jstar > 0 else -1.0
         vals[rep] = sgn * math.fsum((d * d * d).tolist())
     s = SampleSummary.from_samples(vals)

@@ -100,9 +100,8 @@ def _build_parser() -> _Parser:
                    help="comma-separated increasing levels")
     v.add_argument("--replicas", type=int, default=500)
     v.add_argument("--workers", type=int, default=1,
-                   help="threads over the supercritical replicas and the "
-                        "critical left-hand draws (the other draws take one "
-                        "pass per level)")
+                   help="accepted for compatibility; has no effect (every "
+                        "level is drawn in one pass)")
     v.add_argument("--kappa3", type=float, default=None)
     v.add_argument("--slope-tolerance", type=float, default=0.10)
     v.add_argument("--csv", default=None,

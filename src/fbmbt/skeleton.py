@@ -427,16 +427,21 @@ _RIGHT_MASS = (4.0 / math.pi) * math.exp(-math.pi**2 * _DEVROYE_T / 8.0)
 
 def _devroye_proposals(rng: np.random.Generator, m: int) -> np.ndarray:
     """The accepted ones among m proposals, in draw order."""
-    v = (1.0 - rng.random(m)) * (_LEFT_MASS + _RIGHT_MASS)  # in (0, p + q]
+    v = 1.0 - rng.random(m)
+    v *= _LEFT_MASS + _RIGHT_MASS  # in (0, p + q]
     w = rng.random(m)
-    left = v <= _LEFT_MASS
+    left = np.flatnonzero(v <= _LEFT_MASS)
+    right = np.flatnonzero(v > _LEFT_MASS)
     x = np.empty(m)
+    c = np.empty(m)
     # Levy law cut at T: erfc(1/sqrt(2x)) = v/2 inverts its mass below x
     z = erfcinv(0.5 * v[left])
-    x[left] = 0.5 / (z * z)
-    right = ~left
-    x[right] = _DEVROYE_T - (8.0 / math.pi**2) * np.log((v[right] - _LEFT_MASS) / _RIGHT_MASS)
-    c = np.where(left, 2.0 / x, (0.5 * math.pi**2) * x)
+    x_left = 0.5 / (z * z)
+    x[left] = x_left
+    c[left] = 2.0 / x_left
+    x_right = _DEVROYE_T - (8.0 / math.pi**2) * np.log((v[right] - _LEFT_MASS) / _RIGHT_MASS)
+    x[right] = x_right
+    c[right] = (0.5 * math.pi**2) * x_right
     # accept when w <= S_1 = 1 - a_1/a_0; past S_1 (about 0.3 % of the
     # lanes) walk the alternating partial sums until one decides
     s = 1.0 - 3.0 * np.exp(-2.0 * c)

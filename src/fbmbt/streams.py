@@ -65,12 +65,20 @@ def _uint32_words(n: int) -> list:
     return words
 
 
-def _mixed_keys(entropy: list) -> np.ndarray:
-    """Philox keys from entropy columns, uint32 arrays of one length.
+def _wrap(value):
+    """A product of uint32 words reduced mod 2^32: uint32 arrays wrap by
+    themselves, Python ints need the mask."""
+    return value & _MASK32 if isinstance(value, int) else value
 
-    Column i holds word i of every row's assembled entropy, at least the
-    pool size of them; the result is ``SeedSequence.generate_state(2,
-    np.uint64)`` of each row, shape (rows, 2).
+
+def _mixed_keys(entropy: list, rows: int) -> np.ndarray:
+    """Philox keys from entropy columns, one per word of the assembled
+    entropy, at least the pool size of them.
+
+    A column is a uint32 array with one word per row, or a Python int when
+    every row has that word; the words common to all rows are then mixed
+    once.  The result is ``SeedSequence.generate_state(2, np.uint64)`` of
+    each row, shape (rows, 2).
     """
     hash_a = _INIT_A
 
@@ -78,11 +86,11 @@ def _mixed_keys(entropy: list) -> np.ndarray:
         nonlocal hash_a
         value = value ^ hash_a
         hash_a = (hash_a * _MULT_A) & _MASK32
-        value = value * hash_a
+        value = _wrap(value * hash_a)
         return value ^ (value >> 16)
 
     def mix(x, y):
-        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        result = _wrap(_wrap(x * _MIX_MULT_L) - _wrap(y * _MIX_MULT_R))
         return result ^ (result >> 16)
 
     pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
@@ -94,11 +102,11 @@ def _mixed_keys(entropy: list) -> np.ndarray:
         for i_dst in range(_POOL_SIZE):
             pool[i_dst] = mix(pool[i_dst], hashmix(word))
     hash_b = _INIT_B
-    state = np.empty((len(entropy[0]), 4), np.uint32)
+    state = np.empty((rows, 4), np.uint32)
     for i, word in enumerate(pool):
         word = word ^ hash_b
         hash_b = (hash_b * _MULT_B) & _MASK32
-        word = word * hash_b
+        word = _wrap(word * hash_b)
         state[:, i] = word ^ (word >> 16)
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
@@ -139,10 +147,7 @@ class SeedRecord:
         run += [0] * (_POOL_SIZE - len(run))  # SeedSequence pads when spawn-keyed
         before = [w for p in self.key for w in _uint32_words(p)]
         after = [w for p in _codes(suffix) for w in _uint32_words(p)]
-        columns = [np.full(len(idx), w, np.uint32) for w in run + before]
-        columns.append(idx.astype(np.uint32))
-        columns += [np.full(len(idx), w, np.uint32) for w in after]
-        return _mixed_keys(columns)
+        return _mixed_keys(run + before + [idx.astype(np.uint32)] + after, len(idx))
 
     def to_dict(self) -> dict:
         return {

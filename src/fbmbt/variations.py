@@ -252,18 +252,26 @@ def symmetric_cell_sum(f: SmoothFunction, x_grid: FbmPath, level: int,
     """
     _check_order(order)
     stride = x_grid.dyadic_stride(level)
-    if terminal == 0:
-        return 0.0
-    j = np.arange(0, terminal) if terminal > 0 else np.arange(terminal, 0)
     if abs(terminal) * stride > x_grid.half_extent:
         raise ExtentError(
             f"spatial grid covers |j| <= {x_grid.half_extent // stride}, "
             f"need |j| <= {abs(terminal)} at level {level}"
         )
+    return _cell_sum(f, x_grid.values, stride, terminal, order)
+
+
+def _cell_sum(f: SmoothFunction, values: np.ndarray, stride: int,
+             terminal: int, order: int) -> float:
+    """``symmetric_cell_sum`` on the raw values of a two-sided grid (time
+    zero in the middle), unchecked; cell j spans grid points j*stride and
+    (j+1)*stride from the middle."""
+    if terminal == 0:
+        return 0.0
+    j = np.arange(0, terminal) if terminal > 0 else np.arange(terminal, 0)
     sign = float(updown_difference(terminal, int(j[0])))
-    center = x_grid.half_extent
-    x0 = x_grid.values[j * stride + center]
-    x1 = x_grid.values[(j + 1) * stride + center]
+    center = len(values) // 2
+    x0 = values[j * stride + center]
+    x1 = values[(j + 1) * stride + center]
     fz = 0.5 * (f(x0) + f(x1))
     terms = fz * _odd_power(x1 - x0, order)
     return sign * math.fsum(terms.tolist())

@@ -24,11 +24,11 @@ import numpy as np
 from fbmbt.calculus import (VerifyConfig, ito_residual, sample_joint,
                             taylor_coefficients, verify_branch,
                             _skeletal_z_values)
-from fbmbt.fgn import dyadic_step, sample_fbm_two_sided
+from fbmbt.fgn import dyadic_step, sample_fbm_rows, sample_fbm_two_sided
 from fbmbt.scaling import check_cubic, check_quadratic
 from fbmbt.skeleton import (crossing_counts, sample_walk_exact,
                             updown_difference)
-from fbmbt.streams import SeedRecord
+from fbmbt.streams import KeyedPhilox, SeedRecord
 from fbmbt.variations import (decompose_variation, function_by_name, hermite,
                               polynomial, sine, symmetric_variation_direct,
                               symmetric_variation_skeletal,
@@ -265,7 +265,10 @@ class TestAcceptance:
         replicas = 4000
 
         def second_moments(order, level, seed, pairs):
-            base = SeedRecord(seed)
+            # replica r draws X from SeedRecord(seed).derive("replica", level,
+            # r); the rows come in chunks (keyed streams, one irfft call
+            # each), and each replica's squares are added in replica order
+            rec = SeedRecord(seed).derive("replica", level)
             a = dyadic_step(level)
             bound = max(max(abs(s), abs(t)) for s, t in pairs) + 1.0
             k_max = int(np.ceil(bound * 2 ** (level / 2)))
@@ -273,29 +276,27 @@ class TestAcceptance:
             scale = 2.0 ** (level * hurst / 2)
             j = np.arange(k_max)
             acc = np.zeros(len(pairs))
-            first_x = None
-            for rep in range(replicas):
-                x = sample_fbm_two_sided(hurst, a, half,
-                                         base.derive("replica", level, rep))
-                if first_x is None:
-                    first_x = x
-                v, c = x.values, half
+            keys = rec.philox_keys(np.arange(replicas))
+            for v, _ in sample_fbm_rows(hurst, a, half, keys, KeyedPhilox()):
+                c = half
                 prefix = {}
                 for sign in (1, -1):
-                    x0 = v[c + sign * j]
-                    x1 = v[c + sign * (j + 1)]
+                    x0 = v[:, c + sign * j]
+                    x1 = v[:, c + sign * (j + 1)]
                     terms = 0.5 * (np.sin(x0) + np.sin(x1)) * \
                         hermite(order, scale * (x1 - x0))
-                    prefix[sign] = np.concatenate([[0.0], np.cumsum(terms)])
+                    prefix[sign] = np.concatenate(
+                        [np.zeros((len(v), 1)), np.cumsum(terms, axis=1)], axis=1)
 
                 def w_at(tv):
                     k = int(np.floor(abs(tv) * 2 ** (level / 2) + 1e-9))
-                    return prefix[1][k] if tv >= 0 else prefix[-1][k]
+                    return prefix[1][:, k] if tv >= 0 else prefix[-1][:, k]
 
-                for idx, (s, t) in enumerate(pairs):
-                    d = w_at(t) - w_at(s)
-                    acc[idx] += d * d
+                d = np.stack([w_at(t) - w_at(s) for s, t in pairs], axis=1)
+                for row in d:
+                    acc += row * row
             # anchor the vectorized prefix form to the public operation
+            first_x = sample_fbm_two_sided(hurst, a, half, rec.derive(0))
             probe = pairs[0][1]
             direct = weighted_hermite_variation(sine(), first_x, level, order, probe)
             k = int(np.floor(abs(probe) * 2 ** (level / 2) + 1e-9))
@@ -340,22 +341,39 @@ class TestAcceptance:
         replicas = 6000
         levels = (8, 10, 12, 14)
         results = {}
+        stream = KeyedPhilox()
         for hurst in (1 / 6, 0.3):
             base = SeedRecord(MASTER + 11)
             means = []
             for n in levels:
+                # replica r draws its walk (the coins of sample_walk_exact)
+                # and X from SeedRecord(MASTER + 11).derive("replica", n, r);
+                # chunks of replicas, X rows batched by half extent, and the
+                # per-replica sums added in replica order
+                rec = base.derive("replica", n)
                 a = dyadic_step(n)
                 total = 0.0
-                for rep in range(replicas):
-                    rec = base.derive("replica", n, rep)
-                    sk = sample_walk_exact(n, 2**n, rec, with_times=False)
-                    w = sk.walk
-                    reach = int(np.abs(w).max()) + 2
-                    half = 1 << int(np.ceil(np.log2(reach)))
-                    x = sample_fbm_two_sided(hurst, a, half, rec.derive("fbm"))
-                    cells = np.minimum(w[:-1], w[1:]) + half
-                    inc14 = np.abs(np.diff(x.values)) ** 14
-                    total += float(inc14[cells].sum())
+                for first in range(0, replicas, 100):
+                    reps = np.arange(first, min(first + 100, replicas))
+                    walks = [np.concatenate([[0], np.cumsum(
+                        2 * stream.at(k).integers(0, 2, size=2**n) - 1)])
+                        for k in rec.philox_keys(reps, "walk")]
+                    halves = np.array([1 << int(np.ceil(np.log2(int(np.abs(w).max()) + 2)))
+                                       for w in walks])
+                    fbm_keys = rec.philox_keys(reps, "fbm")
+                    sums = np.empty(len(reps))
+                    for half in np.unique(halves).tolist():
+                        same = iter(np.flatnonzero(halves == half).tolist())
+                        for v, _ in sample_fbm_rows(hurst, a, half,
+                                                    fbm_keys[halves == half], stream):
+                            inc14 = np.abs(np.diff(v, axis=1)) ** 14
+                            for row in inc14:
+                                i = next(same)
+                                w = walks[i]
+                                cells = np.minimum(w[:-1], w[1:]) + half
+                                sums[i] = row[cells].sum()
+                    for value in sums.tolist():
+                        total += value
                 means.append((n, total / replicas))
             ys = np.log2([m for _, m in means])
             slope = float(np.polyfit(levels, ys, 1)[0])

@@ -8,7 +8,8 @@ import pytest
 import sympy
 
 from fbmbt.calculus import (KAPPA3, VerificationReport, VerifyConfig,
-                            _skeletal_z_values, _walk_ends_and_x,
+                            _critical_lhs, _skeletal_z_values,
+                            _supercritical_pairs, _walk_ends_and_x,
                             correction_std, evaluate_gate, ito_residual,
                             sample_joint, taylor_coefficients, verify_branch)
 from fbmbt.fgn import increment_autocovariance, sample_fbm_two_sided
@@ -16,7 +17,7 @@ from fbmbt.scaling import power_variation
 from fbmbt.skeleton import crossing_counts
 from fbmbt.streams import SeedRecord
 from fbmbt.variations import function_by_name, polynomial, sine
-from replica_draw import walk_end_and_x
+from replica_draw import critical_lhs, supercritical_pair, walk_end_and_x
 
 
 class TestTaylorScheme:
@@ -134,6 +135,26 @@ class TestCorrectionIntegral:
         assert abs(sims.mean()) <= 3 * se_mean
         assert abs(sims.var(ddof=1) - target_var) <= 3 * target_var * np.sqrt(2.0 / reps)
 
+    @pytest.mark.parametrize("fname", ["sin", "gauss", "cube", "square"])
+    def test_rows_match_one_row_at_a_time(self, fname):
+        # the per-row sum of squares (np.add.reduce along axis 1, on the
+        # strided left ends x[:, :-1]) has the bits of the 1-d sum
+        f = function_by_name(fname)
+        rng = np.random.default_rng(18)
+        for cells in (1, 2, 7, 128, 8192):
+            x = rng.normal(size=(5, cells + 1))
+            width = rng.random(5)
+            rows = correction_std(f, x[:, :-1], width)
+            assert rows.shape == (5,)
+            for i in range(5):
+                one = correction_std(f, np.ascontiguousarray(x[i, :-1]), float(width[i]))
+                assert isinstance(one, float)
+                assert rows[i].tobytes() == np.float64(one).tobytes()
+            f3 = np.asarray(f.derivative(3)(x[:, :-1]), dtype=float)
+            sums = np.add.reduce(f3 * f3, axis=1)
+            for i in range(5):
+                assert sums[i] == np.add.reduce(f3[i].copy() * f3[i].copy())
+
     def test_kappa3_scales_linearly(self):
         x = sample_fbm_two_sided(1 / 6, 2.0**-6, 64, seed=17).values
         base = correction_std(sine(), x, 2.0**-6, kappa3=KAPPA3)
@@ -248,8 +269,7 @@ class TestVerifyBranch:
         assert 0 <= r1.per_level[0]["ks_distance"] <= 1
 
     def test_workers_do_not_change_results(self):
-        # the branches whose replicas the workers spread: the supercritical
-        # replicas and the critical left-hand side
+        # workers is accepted and has no effect
         for branch, hurst in (("supercritical", 0.35), ("critical", 1 / 6)):
             base = VerifyConfig(hurst=hurst, f=sine(), t=1.0, levels=(4, 6),
                                 replicas=50, seed=4)
@@ -297,7 +317,7 @@ class TestLevelDraw:
         cfg = VerifyConfig(hurst=hurst, f=sine(), t=t, levels=(level,),
                            replicas=150, seed=57)
         yielded = list(_walk_ends_and_x(cfg, level, role))
-        drawn = {rep: (jstar, x) for rep, jstar, x in yielded}
+        drawn = {rep: (jstar, row) for rep, jstar, row in yielded}
         assert len(drawn) == len(yielded)
         base = SeedRecord(57).derive(role, level)
         signs = set()
@@ -307,14 +327,40 @@ class TestLevelDraw:
             if x is None:
                 assert jstar == 0 and rep not in drawn
                 continue
-            j, path = drawn.pop(rep)
+            j, row = drawn.pop(rep)
             assert j == jstar
-            assert (path.hurst, path.spacing, path.half_extent, path.method,
-                    path.seed_record) == (x.hurst, x.spacing, x.half_extent,
-                                          x.method, x.seed_record)
-            np.testing.assert_array_equal(path.values, x.values)
+            assert row.tobytes() == x.values.tobytes()
         assert not drawn
         assert signs >= ({-1, 0, 1} if level == 4 else {-1, 1})
+
+    @pytest.mark.parametrize("hurst", [0.2, 0.35, 0.75])
+    @pytest.mark.parametrize("t", [1.0, 0.3, 1.7])
+    def test_supercritical_pairs_match_the_per_replica_draw(self, hurst, t):
+        # both ways Y_t is drawn: after the N-th grid hit, and inside the
+        # cell under way at t (the killed position)
+        ways = set()
+        for level in range(2, 15):
+            cfg = VerifyConfig(hurst=hurst, f=function_by_name(("sin", "gauss", "cube")[level % 3]),
+                               t=t, levels=(level,), replicas=12, seed=58)
+            res, res_end = _supercritical_pairs(cfg, level)
+            base = SeedRecord(58).derive("supercritical", level)
+            for rep in range(cfg.replicas):
+                pair, hit_by_t = supercritical_pair(cfg, level, base.derive(rep))
+                assert np.array([res[rep], res_end[rep]]).tobytes() == \
+                    np.array(pair).tobytes(), (level, rep)
+                ways.add(hit_by_t)
+        assert ways == {True, False}
+
+    @pytest.mark.parametrize("name", ["sin", "gauss", "cube"])
+    @pytest.mark.parametrize("t", [1.0, 0.3])
+    def test_critical_lhs_matches_the_per_replica_draw(self, name, t):
+        cfg = VerifyConfig(hurst=1 / 6, f=function_by_name(name), t=t,
+                           levels=(5,), replicas=24, seed=59)
+        pool = _critical_lhs(cfg, 5)
+        base = SeedRecord(59).derive("critical-lhs", 5)
+        old = np.array([critical_lhs(cfg, base.derive(rep))
+                        for rep in range(cfg.replicas)])
+        assert pool.tobytes() == old.tobytes()
 
 
 class TestEvaluateGate:

@@ -50,8 +50,8 @@ def _pool(draw, cfg, seed, replicas):
 
 def test_unit_grid_lhs_matches_path_lhs_in_law():
     cfg = VerifyConfig(hurst=1 / 6, f=sine(), t=1.0, levels=(8,),
-                       replicas=2, seed=0)
-    old = _pool(_old_lhs, cfg, 61, 3000)
-    new = _pool(_critical_lhs, cfg, 62, 3000)
+                       replicas=3000, seed=62)
+    old = _pool(_old_lhs, cfg, 61, cfg.replicas)
+    new = _critical_lhs(cfg, 0)  # the pool of SeedRecord(62).derive("critical-lhs", 0, r)
     ks = ks_two_sample(old, new)
     assert ks.p_value > 1e-3, (ks, old.std(ddof=1), new.std(ddof=1))

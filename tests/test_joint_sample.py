@@ -57,7 +57,7 @@ class TestConditionalLaw:
     def test_matches_dense_solve(self, hurst):
         x = sample_fbm_two_sided(hurst, 0.25, 8, seed=3)
         for y in (0.3, -0.05, 1.9, -1.7, 0.125):
-            mean, std = _x_conditional(x, y)
+            mean, std = _x_conditional(x.values, x.spacing, x.hurst.value, y)
             d_mean, d_std = _dense_conditional(x, y)
             assert mean == pytest.approx(d_mean, rel=1e-7, abs=1e-9)
             assert std == pytest.approx(d_std, rel=1e-6, abs=1e-9)
@@ -81,7 +81,7 @@ class TestConditionalLaw:
             if k % refine == 0:
                 k += 1 + int(rng.integers(refine - 1))
             y = k * fine.spacing
-            mean, std = _x_conditional(grid, y)
+            mean, std = _x_conditional(grid.values, grid.spacing, grid.hurst.value, y)
             z[rep] = (fine.values[k + fine.half_extent] - mean) / std
             r = k // refine + grid.half_extent
             around[rep] = grid.values[r + 1] - grid.values[r]
@@ -92,14 +92,14 @@ class TestConditionalLaw:
     @pytest.mark.parametrize("k", [-5, -1, 0, 3, 7])
     def test_on_grid_value_is_exact(self, k):
         x = sample_fbm_two_sided(0.35, dyadic_step(6), 8, seed=5)
-        mean, std = _x_conditional(x, k * x.spacing)
+        mean, std = _x_conditional(x.values, x.spacing, x.hurst.value, k * x.spacing)
         assert mean == x.values[k + x.half_extent]
         assert std == 0.0
 
     def test_draw_is_mean_plus_std_normal(self):
         rec = SeedRecord(6).derive("replica", 0)
         js = sample_joint(0.35, 8, 1.0, rec)
-        mean, std = _x_conditional(js.x, js.y_t)
+        mean, std = _x_conditional(js.x.values, js.x.spacing, js.x.hurst.value, js.y_t)
         g = rec.derive("fbm", 1).generator().standard_normal()
         assert js.z_t == mean + std * g
         assert js.x.spacing == dyadic_step(8)
