@@ -28,10 +28,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erfc, erfcinv
 
 from .fgn import dyadic_step, floor_steps
 from .streams import SeedRecord, as_seed_record
@@ -350,6 +350,15 @@ _K_LARGE = 24
 _K_SMALL = 12
 
 
+@lru_cache(maxsize=1)
+def _special():
+    """scipy.special, imported on the first exit-time use: it is most of
+    fbmbt's import time, and only the exit-time code needs it (its erfc
+    and erfcinv define the supercritical stream)."""
+    import scipy.special
+    return scipy.special
+
+
 def exit_time_cdf(t) -> "float | np.ndarray":
     """P(tau <= t) for the exit time of standard BM from (-1, 1)."""
     scalar = np.ndim(t) == 0
@@ -360,6 +369,7 @@ def exit_time_cdf(t) -> "float | np.ndarray":
     if np.any(small):
         ts = t[small]
         acc = np.zeros_like(ts)
+        erfc = _special().erfc
         for k in range(_K_SMALL):
             term = erfc((2 * k + 1) / np.sqrt(2.0 * ts))
             acc += (term if k % 2 == 0 else -term)
@@ -435,7 +445,7 @@ def _devroye_proposals(rng: np.random.Generator, m: int) -> np.ndarray:
     x = np.empty(m)
     c = np.empty(m)
     # Levy law cut at T: erfc(1/sqrt(2x)) = v/2 inverts its mass below x
-    z = erfcinv(0.5 * v[left])
+    z = _special().erfcinv(0.5 * v[left])
     x_left = 0.5 / (z * z)
     x[left] = x_left
     c[left] = 2.0 / x_left
@@ -534,7 +544,7 @@ def killed_position(s: float, v: float) -> float:
         return 0.0
     cdf, pdf = _killed_series(s)
     if s <= _SMALL_T:  # nearly N(0, s) cut to (-1, 1)
-        u = min(max(-math.sqrt(2.0 * s) * float(erfcinv(2.0 * v)), -0.999), 0.999)
+        u = min(max(-math.sqrt(2.0 * s) * float(_special().erfcinv(2.0 * v)), -0.999), 0.999)
     else:  # nearly the first eigenfunction, density (pi/4) cos(pi u/2)
         u = (2.0 / math.pi) * math.asin(2.0 * v - 1.0)
     lo, hi = -1.0, 1.0

@@ -1,10 +1,11 @@
 """Statistical plumbing: KS tests, Monte Carlo summaries, slope fits, and
 the serialization shared by the per-level reports.
 
-P-values use the asymptotic Kolmogorov distribution
-(``scipy.special.kolmogorov``) with the Stephens effective-size
-correction; the sample sizes in this package (hundreds to thousands) make
-that adequate.
+P-values use the asymptotic Kolmogorov distribution (``kolmogorov_sf``,
+two short series in ``math``) with the Stephens effective-size correction;
+the sample sizes in this package (hundreds to thousands) make that
+adequate.  The normal CDF is ``math.erfc``'s, so importing this module
+does not load scipy.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
-from scipy.special import kolmogorov, ndtr
 
 __all__ = [
     "PerLevelReport",
@@ -81,9 +81,33 @@ class KsResult:
                 "sizes": list(self.sizes)}
 
 
+# Below the cut-over Q = 1 - P with the theta form
+#   P(x) = (sqrt(2 pi)/x) sum_{k>=1} u^((2k-1)^2),  u = exp(-pi^2/(8 x^2)),
+# above it Q = 2 sum_{k>=1} (-1)^(k-1) v^(k^2),  v = exp(-2 x^2).  Four terms
+# of each, in Horner form: at the cut-over the first omitted term is
+# u^80 ~ 1e-64 of P and v^24 ~ 1e-14 of Q, and both shrink away from it.
+_KS_CUTOVER = 0.82
+
+
 def kolmogorov_sf(x: float) -> float:
     """Survival function of the Kolmogorov distribution, Q(x) = P(K > x)."""
-    return float(kolmogorov(x))
+    x = float(x)
+    if x <= 0.0:
+        return 1.0
+    if x <= _KS_CUTOVER:
+        w = math.sqrt(2.0 * math.pi) / x
+        u = math.exp(-math.pi**2 / (8.0 * x * x))
+        u8 = math.exp(-math.pi**2 / (x * x))
+        return 1.0 - w * u * (1.0 + u8 * (1.0 + u8 * u8 * (1.0 + u8**3)))
+    v = math.exp(-2.0 * x * x)
+    return 2.0 * v * (1.0 - v**3 * (1.0 - v**5 * (1.0 - v**7)))
+
+
+def _normal_cdf(x: np.ndarray) -> np.ndarray:
+    """Standard normal CDF, 0.5 erfc(-x/sqrt 2), of a 1-d array."""
+    half = math.sqrt(0.5)
+    return np.fromiter((0.5 * math.erfc(-v * half) for v in x.tolist()),
+                       dtype=float, count=len(x))
 
 
 def _stephens_pvalue(d: float, en: float) -> float:
@@ -113,7 +137,7 @@ def ks_one_sample_normal(samples, mean: float = 0.0, std: float = 1.0) -> KsResu
         raise ValueError("sample must be nonempty")
     if std <= 0:
         raise ValueError("std must be positive")
-    cdf = ndtr((x - mean) / std)
+    cdf = _normal_cdf((x - mean) / std)
     ecdf_hi = np.arange(1, n + 1) / n
     ecdf_lo = np.arange(0, n) / n
     d = float(max(np.max(ecdf_hi - cdf), np.max(cdf - ecdf_lo)))

@@ -1,57 +1,65 @@
 """The critical left-hand side against the path-based draw it replaced.
 
 ``_old_lhs`` is the previous ``lhs`` of the critical branch, kept as the
-law oracle: it drew X and a Brownian W on a two-sided grid of spacing
-2^-13 sized to |Y_t|, snapped X(Y_t) to that grid and summed the
-correction f'''(X) dW forward from 0 to Y_t.  The present draw uses one
-unit grid rescaled by self-similarity and one conditional normal, so the
-two agree in law, not bit for bit.
+law oracle: X and a Brownian W on a grid of spacing 2^-13 sized to |Y_t|,
+X(Y_t) snapped to that grid and the correction f'''(X) dW summed forward
+from 0 to Y_t.  The present draw uses one unit grid rescaled by
+self-similarity and one conditional normal, so the two agree in law, not
+bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from fbmbt.calculus import KAPPA3, VerifyConfig, _critical_lhs, _pow2_at_least
-from fbmbt.fgn import sample_fbm_two_sided
+from fbmbt.calculus import VerifyConfig, _critical_lhs, _pow2_at_least
+from fbmbt.fgn import sample_fbm_rows
 from fbmbt.stats import ks_two_sample
-from fbmbt.streams import SeedRecord
+from fbmbt.streams import KeyedPhilox, SeedRecord
 from fbmbt.variations import sine
 
 LHS_SPACING = 2.0**-13
 
 
-def _old_correction_integral(f, x, w, y_t, kappa3=KAPPA3):
-    count = int(math.floor(abs(y_t) / x.spacing + 1e-12))
-    if count == 0:
-        return 0.0
-    sign = 1 if y_t >= 0 else -1
-    j = sign * np.arange(count) + x.half_extent
-    terms = f.derivative(3)(x.values[j]) * (w.values[j + sign] - w.values[j])
-    return (kappa3 / 12.0) * math.fsum(terms.tolist())
+def _old_lhs(cfg, seed):
+    """One draw per replica r of ``SeedRecord(seed).derive("critical-lhs", 0,
+    r)``: Y_t from "bm", X from "fbm" and W's increments from "wiener".
 
-
-def _old_lhs(cfg, rec):
+    X(-s) and X(s), s >= 0, have one law, as do W's increments, so the grid
+    is read from 0 towards |Y_t|.  X is the left end of a two-sided row
+    re-based to 0 there, which fGn's stationarity allows; rows are drawn in
+    groups of one power-of-two size, just covering the cells read.
+    """
     h = LHS_SPACING
-    y_t = math.sqrt(cfg.t) * float(rec.derive("bm").generator().standard_normal())
-    half = _pow2_at_least(max(abs(y_t) + 2 * h, 4 * h) / h)
-    x = sample_fbm_two_sided(cfg.hurst, h, half, rec.derive("fbm"))
-    w = sample_fbm_two_sided(0.5, h, half, rec.derive("wiener"))
-    corr = _old_correction_integral(cfg.f, x, w, y_t, cfg.kappa3)
-    z_t = x.values[int(round(y_t / h)) + x.half_extent]  # nearest grid point
-    return float(cfg.f(z_t) - cfg.f(0.0) + corr)
-
-
-def _pool(draw, cfg, seed, replicas):
-    base = SeedRecord(seed)
-    return np.array([draw(cfg, base.derive("critical-lhs", 0, rep))
-                     for rep in range(replicas)])
+    rec = SeedRecord(seed).derive("critical-lhs", 0)
+    reps = np.arange(cfg.replicas)
+    stream = KeyedPhilox()
+    y_t = np.array([math.sqrt(cfg.t) * float(stream.at(k).standard_normal())
+                    for k in rec.philox_keys(reps, "bm")])
+    count = np.floor(np.abs(y_t) / h + 1e-12).astype(int)  # forward Ito terms
+    snap = np.rint(np.abs(y_t) / h).astype(int)  # nearest grid point to |Y_t|
+    half = np.array([_pow2_at_least((max(c, s) + 1) / 2) for c, s in zip(count, snap)])
+    fbm_keys = rec.philox_keys(reps, "fbm")
+    wiener_keys = rec.philox_keys(reps, "wiener")
+    f3 = cfg.f.derivative(3)
+    lhs = np.empty(cfg.replicas)
+    for size in np.unique(half):
+        group = np.flatnonzero(half == size)
+        start = 0
+        for rows, _ in sample_fbm_rows(cfg.hurst, h, int(size), fbm_keys[group], stream):
+            for r, row in zip(group[start:start + len(rows)], rows):
+                x = row - row[0]
+                dw = math.sqrt(h) * stream.at(wiener_keys[r]).standard_normal(count[r])
+                corr = (cfg.kappa3 / 12.0) * float(f3(x[:count[r]]) @ dw)
+                lhs[r] = cfg.f(x[snap[r]]) - cfg.f(0.0) + corr
+            start += len(rows)
+    return lhs
 
 
 def test_unit_grid_lhs_matches_path_lhs_in_law():
     cfg = VerifyConfig(hurst=1 / 6, f=sine(), t=1.0, levels=(8,),
                        replicas=3000, seed=62)
-    old = _pool(_old_lhs, cfg, 61, cfg.replicas)
+    old = _old_lhs(cfg, 61)
     new = _critical_lhs(cfg, 0)  # the pool of SeedRecord(62).derive("critical-lhs", 0, r)
     ks = ks_two_sample(old, new)
     assert ks.p_value > 1e-3, (ks, old.std(ddof=1), new.std(ddof=1))

@@ -1,12 +1,16 @@
 """KS machinery, slope fits, and Monte Carlo summaries."""
 
+import math
+
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from scipy.special import ndtri
 
-from fbmbt.stats import (KsResult, SampleSummary, fit_log2_slope, kolmogorov_sf,
-                         ks_one_sample_normal, ks_two_sample)
+from fbmbt.stats import (KsResult, SampleSummary, _normal_cdf, _stephens_pvalue,
+                         fit_log2_slope, kolmogorov_sf, ks_one_sample_normal,
+                         ks_two_sample)
 
 
 class TestKsTwoSample:
@@ -78,6 +82,42 @@ class TestKolmogorovSf:
         # the alternating series converges too slowly below x ~ 0.03
         for x in (1e-4, 0.01, 0.02):
             assert kolmogorov_sf(x) == pytest.approx(1.0, abs=1e-12)
+
+    @staticmethod
+    def _assert_matches_special(ours, xs):
+        ref = scipy.special.kolmogorov(xs)
+        tiny = ref <= 1e-300
+        np.testing.assert_allclose(ours[~tiny], ref[~tiny], rtol=1e-13, atol=0)
+        np.testing.assert_allclose(ours[tiny], ref[tiny], rtol=0, atol=1e-16)
+
+    def test_matches_scipy_special_across_cutover(self):
+        cut = 0.82
+        xs = np.concatenate([np.linspace(0.01, 6.0, 20001),
+                             [np.nextafter(cut, 0.0), cut, np.nextafter(cut, 1.0)],
+                             np.linspace(cut - 1e-3, cut + 1e-3, 201)])
+        self._assert_matches_special(np.array([kolmogorov_sf(x) for x in xs]), xs)
+
+    @pytest.mark.parametrize("n, en", [(5000, math.sqrt(5000)),
+                                       (2000, math.sqrt(1000))], ids=["C6", "C8"])
+    def test_matches_scipy_special_at_stephens_arguments(self, n, en):
+        # C8's two samples of 2000 take the distances k/2000; C6's one-sample
+        # D is continuous, so the grid k/5000 at its effective size
+        d = np.arange(1, n + 1) / n
+        ours = np.array([_stephens_pvalue(di, en) for di in d])
+        self._assert_matches_special(ours, (en + 0.12 + 0.11 / en) * d)
+
+
+class TestNormalCdf:
+    def test_matches_scipy_special_ndtr(self):
+        z = np.linspace(-8.0, 8.0, 20001)
+        np.testing.assert_allclose(_normal_cdf(z), scipy.special.ndtr(z),
+                                   rtol=1e-13, atol=0)
+
+    def test_far_left_tail(self):
+        z = np.linspace(-37.0, -8.0, 5001)
+        ref = scipy.special.ndtr(z)
+        assert ref.min() > 0
+        np.testing.assert_allclose(_normal_cdf(z), ref, rtol=1e-10, atol=0)
 
 
 class TestKsOneSampleNormal:
