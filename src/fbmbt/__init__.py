@@ -20,8 +20,8 @@ from .fgn import (BmPath, FbmPath, HurstParameter, fbm_covariance,
                   increment_autocovariance, sample_bm, sample_fbm_two_sided,
                   sample_fgn)
 from .scaling import ScalingReport, check_cubic, check_quadratic, power_variation
-from .skeleton import (CrossingCounts, SkeletalStructure, build_skeleton,
-                       crossing_counts, sample_walk_exact, updown_difference)
+from .skeleton import (CrossingCounts, SkeletalStructure, crossing_counts,
+                       sample_walk_exact, updown_difference)
 from .stats import KsResult, SampleSummary, fit_log2_slope, ks_two_sample
 from .streams import SeedRecord
 from .variations import (SmoothFunction, hermite, odd_power_hermite_coeffs,

@@ -3,7 +3,7 @@
 Subcommands
 -----------
 generate   sample an fBm or BM path and write it (binary+header or CSV)
-skeleton   build a dyadic-grid skeleton from a fresh Brownian path
+skeleton   draw the exact level-n walk and hitting times over [0, horizon]
 verify     Monte Carlo check of one branch of the change-of-variable formula
 scaling    quadratic/cubic variation scaling reports for plain fBm
 selftest   run the deterministic identity suites
@@ -81,13 +81,11 @@ def _build_parser() -> _Parser:
     g.add_argument("--horizon", type=float)
     g.add_argument("--format", choices=("binary", "csv"), default="binary")
 
-    s = sub.add_parser("skeleton", help="build and write a skeleton")
+    s = sub.add_parser("skeleton", help="draw an exact skeleton and write it")
     common(s)
     s.add_argument("--level", type=int, required=True)
-    s.add_argument("--horizon", type=float, required=True)
-    s.add_argument("--mode", choices=("bridge", "naive"), default="bridge")
-    s.add_argument("--spacing", type=float, default=None,
-                   help="path spacing (default 2^-(level+4))")
+    s.add_argument("--horizon", type=float, required=True,
+                   help="the skeleton has floor(2^level * horizon) steps")
 
     v = sub.add_parser("verify", help="verify one branch of the formula")
     common(v)
@@ -222,14 +220,19 @@ def cmd_skeleton(cfg: RunConfig) -> int:
     from . import fgn, skeleton
 
     p = cfg.params
-    level = int(p["level"])
+    level, horizon = int(p["level"]), p["horizon"]
     if level < 1:
         raise UsageError("level must be >= 1")
-    spacing = p["spacing"] if p["spacing"] is not None else 2.0 ** (-(level + 4))
     try:
-        path = fgn.sample_bm(p["horizon"], spacing, cfg.seed)
-        sk = skeleton.build_skeleton(path, level, mode=p["mode"])
-    except (ValueError, skeleton.SpacingError) as exc:
+        fgn._check_positive_finite("horizon", horizon)
+        steps = fgn.floor_steps(level, horizon)
+        if steps == 0:
+            raise ValueError(f"floor(2^{level} * {horizon}) = 0 steps; "
+                             "the skeleton needs at least one")
+        sk = skeleton.sample_walk_exact(level, steps, cfg.seed)
+    except OverflowError:
+        raise UsageError(f"floor(2^{level} * {horizon}) steps overflow a float") from None
+    except ValueError as exc:
         raise UsageError(str(exc)) from exc
     out = _require_out(cfg, f"skeleton_n{level}_seed{cfg.seed}.skel")
     skeleton.write_skeleton(sk, out)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fgn import FbmPath, HurstParameter, floor_steps, sample_fgn, uniform_step
-from .skeleton import SpacingError
 from .stats import PerLevelReport, check_layout, ks_one_sample_normal
 from .streams import SeedRecord
 
@@ -47,7 +46,7 @@ def power_variation(path: FbmPath, power: int, level: int, t: float) -> float:
         raise ValueError("power must be a positive integer")
     step = uniform_step(level)
     if path.spacing != step:
-        raise SpacingError(
+        raise ValueError(
             f"path spacing {path.spacing} does not equal 2^-{level} = {step}"
         )
     k = floor_steps(level, t)

@@ -1,21 +1,12 @@
 """Skeletal structure of the time-changed process: dyadic hitting times.
 
-Given a Brownian path Y and a level n, the structure records the
-successive times at which Y hits a fresh point of the spatial grid
-{j * 2^{-n/2} : j in Z} together with the embedded walk of grid indices.
-Each step of the walk is +-1, so every step is exactly one upcrossing or
-downcrossing of a grid cell.
+The level-n skeleton of a Brownian path Y records the successive times at
+which Y hits a fresh point of the spatial grid {j * 2^{-n/2} : j in Z}
+together with the embedded walk of grid indices.  Each step of the walk is
++-1, so every step is exactly one upcrossing or downcrossing of a grid
+cell.
 
-Two extraction modes from a sampled path:
-
-* ``"bridge"`` (default): between consecutive samples that stay inside a
-  cell, an excursion to a cell boundary is resolved by the Brownian-bridge
-  boundary-hitting probability exp(-2*(b-y0)*(b-y1)/dt).  This removes the
-  systematic late-detection bias of plain threshold scanning.
-* ``"naive"``: only values at sample points count, kept for speed and for
-  measuring the bias itself.
-
-``sample_walk_exact`` bypasses path simulation entirely: walk steps are
+``sample_walk_exact`` draws it without simulating a path: walk steps are
 fair coin flips and the holding times are i.i.d. copies of 2^{-n} * tau,
 with tau the exit time of standard Brownian motion from (-1, 1), drawn
 exactly by Devroye's (2009) alternating-series rejection sampler.
@@ -39,9 +30,7 @@ from .streams import SeedRecord, as_seed_record
 __all__ = [
     "SkeletalStructure",
     "CrossingCounts",
-    "SpacingError",
     "InsufficientStepsError",
-    "build_skeleton",
     "crossing_counts",
     "updown_difference",
     "sample_walk_exact",
@@ -55,10 +44,6 @@ __all__ = [
 ]
 
 SKELETON_FORMAT_VERSION = 1
-
-
-class SpacingError(ValueError):
-    """Path sampling too coarse to resolve level-n crossings."""
 
 
 class InsufficientStepsError(ValueError):
@@ -114,185 +99,6 @@ class CrossingCounts:
     @property
     def n_steps(self) -> int:
         return sum(self.up.values()) + sum(self.down.values())
-
-
-# ---------------------------------------------------------------------------
-# Path scan
-# ---------------------------------------------------------------------------
-#
-# The walk level j after each sample obeys (j-1)*a < y < (j+1)*a, so with
-# k the cell of y (k*a <= y < (k+1)*a) the state s = j - k is 0 or 1.  Each
-# sample interval maps the state before it to the state after it; both
-# images are computed in vector form, the state sequence follows from the
-# last constant map and the parity of the swaps after it, and the crossings
-# of each interval are then placed with np.repeat.  All grid products are
-# int * a, the same floats a sequential scan compares against, so levels
-# and times are those of scanning the samples one by one.
-
-def _cells(values: np.ndarray, a: float) -> np.ndarray:
-    """Cell index k with k*a <= y < (k+1)*a, in the scan's own products."""
-    k = np.floor(values / a).astype(np.int64)
-    k -= k * a > values
-    k += (k + 1) * a <= values
-    return k
-
-
-def _moves(j0, k1, c1, y0, y1, u, a, dt):
-    """What each interval does from start levels j0.
-
-    Returns (end, count, step, excursion): the level after the interval,
-    its number of crossings, the direction of its first crossing and
-    whether that one is a bridge excursion, which a crossing back to j0
-    follows when count == 2.  Otherwise the crossings are the endpoint
-    cascade j0 + step, j0 + 2*step, ... into the cell of y1: up to k1 when
-    y1 >= (j0+1)*a, down to c1 when y1 <= (j0-1)*a.  ``u`` is None in
-    naive mode.
-    """
-    end = np.minimum(np.maximum(j0, k1), c1)
-    count = np.abs(end - j0)
-    if u is None:
-        return end, count, np.where(end < j0, -1, 1), np.zeros(len(j0), dtype=bool)
-    quiet = count == 0
-    hi = (j0 + 1) * a
-    lo = (j0 - 1) * a
-    # Quiet intervals have exponents <= 0; the others may overflow unused.
-    with np.errstate(over="ignore"):
-        e_up = -2.0 * (hi - y0) * (hi - y1) / dt
-        e_dn = -2.0 * (y0 - lo) * (y1 - lo) / dt
-        p_up, p_dn = np.exp(e_up), np.exp(e_dn)
-    total = p_up + p_dn
-    # np.exp and math.exp can differ in the last bit: decide with math.exp
-    # wherever the uniform falls that close to a threshold.
-    near = quiet & ((np.abs(u - total) <= 1e-12 * total + 1e-300)
-                    | (np.abs(u - p_up) <= 1e-12 * p_up + 1e-300))
-    for i in np.flatnonzero(near):
-        p_up[i] = math.exp(e_up[i])
-        p_dn[i] = math.exp(e_dn[i])
-        total[i] = p_up[i] + p_dn[i]
-    excursion = quiet & (u < total)
-    rising = u < p_up
-    step = np.where((end < j0) | (excursion & ~rising), -1, 1)
-    # back to j0 when y1 lies at or past j0*a, seen from the excursion's line
-    back = excursion & np.where(rising, c1 == j0, k1 == j0)
-    return end + step * (excursion & ~back), count + excursion + back, step, excursion
-
-
-def _cascade_time(seg_t, seg_y, b, y1, t1):
-    """Time the line from (seg_t, seg_y) to (t1, y1) reaches level b."""
-    denom = y1 - seg_y
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac = np.where(denom != 0.0, (b - seg_y) / denom, 1.0)
-    return seg_t + (t1 - seg_t) * np.clip(frac, 0.0, 1.0)
-
-
-def _crossings(values: np.ndarray, a: float, dt: float,
-               uniforms: "np.ndarray | None") -> tuple:
-    """Crossing times and walk levels of a path starting at 0.
-
-    ``uniforms`` holds one uniform per sample interval for the bridge
-    excursion test, or is None in naive mode.  An interval consumes its
-    uniform only when no endpoint crossing fires, so results do not depend
-    on how many crossings other intervals produced.  Sub-excursions after
-    an endpoint crossing are ignored (second order at dt <= a^2/4).
-    """
-    if len(values) < 2:
-        return np.empty(0), np.empty(0, dtype=np.int64)
-    k = _cells(values, a)
-    c = k + (k * a != values)  # least c with c*a >= y
-    y0, y1, k0, k1, c1 = values[:-1], values[1:], k[:-1], k[1:], c[1:]
-    maps = [_moves(k0 + s, k1, c1, y0, y1, uniforms, a, dt) for s in (0, 1)]
-
-    # State after each interval from the last constant map and the swaps.
-    f0, f1 = maps[0][0] - k1, maps[1][0] - k1
-    idx = np.arange(len(f0))
-    last = np.maximum.accumulate(np.where(f0 == f1, idx, -1))
-    swaps = np.cumsum(f0 > f1)
-    seen = last >= 0
-    after = (np.where(seen, f0[last], 0)
-             ^ ((swaps - np.where(seen, swaps[last], 0)) & 1))
-    state = np.concatenate([[0], after[:-1]])  # level 0 at y = 0
-    pick = state == 1
-    count, step, excursion = (np.where(pick, m1, m0)
-                              for m0, m1 in zip(maps[0][1:], maps[1][1:]))
-    j0 = k0 + state
-
-    # One row per crossing, in time order.
-    iv = np.repeat(idx, count)
-    first = np.cumsum(count) - count
-    depth = np.arange(len(iv)) - first[iv]
-    jj, st, ex = j0[iv], step[iv], excursion[iv]
-    walk = np.where(ex, jj + st * (1 - depth), jj + st * (depth + 1))
-    b = walk * a
-    t0 = iv * dt
-    t1 = t0 + dt
-    ya, yb = y0[iv], y1[iv]
-    times = np.empty(len(iv))
-    top = first[count > 0]
-    gap0, gap1 = np.abs(b[top] - ya[top]), np.abs(b[top] - yb[top])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac = np.where(gap0 + gap1 > 0, gap0 / (gap0 + gap1), 0.5)
-    times[top] = np.where(ex[top], t0[top] + dt * frac,
-                          _cascade_time(t0[top], ya[top], b[top], yb[top], t1[top]))
-    for d in range(1, int(depth.max(initial=0)) + 1):
-        e = np.flatnonzero(depth == d)
-        times[e] = _cascade_time(times[e - 1], b[e - 1], b[e], yb[e], t1[e])
-
-    # Clamp times that fail to increase, in scan order: a clamped time also
-    # starts the rest of its cascade, so rerun until a time comes out as
-    # computed above.
-    prev = np.concatenate([[0.0], times[:-1]])
-    done = 0
-    for e in np.flatnonzero(times <= prev):
-        if e < done:
-            continue
-        while e < len(times):
-            tc = times[e]  # the first time of an interval needs no earlier one
-            if depth[e] > 0:
-                tc = _cascade_time(times[e - 1], b[e - 1], b[e], yb[e], t1[e])
-            last_t = times[e - 1] if e else 0.0
-            if tc <= last_t:
-                tc = np.nextafter(last_t, np.inf)
-            elif tc == times[e]:
-                break
-            times[e] = tc
-            e += 1
-        done = e
-    return times, walk
-
-
-def build_skeleton(path, level: int, mode: str = "bridge",
-                   seed: "int | SeedRecord | None" = None) -> SkeletalStructure:
-    """Extract the level-n skeleton from a sampled Brownian path.
-
-    Requires path spacing <= 2^{-level-2} so crossings are resolved; an
-    empty structure (no crossings before the horizon) is valid output.
-    """
-    if level < 1:
-        raise ValueError(f"level must be >= 1, got {level}")
-    if mode not in ("bridge", "naive"):
-        raise ValueError(f"unknown mode {mode!r}")
-    required = 2.0 ** (-(level + 2))
-    if path.spacing > required * (1.0 + 1e-12):
-        raise SpacingError(
-            f"path spacing {path.spacing} too coarse for level {level}; "
-            f"need spacing <= {required}"
-        )
-    a = dyadic_step(level)
-    values = path.values
-    if mode == "bridge":
-        record = as_seed_record(seed) if seed is not None \
-            else path.seed_record.derive("bridge", level)
-        uniforms = record.generator().random(len(values) - 1)
-    else:
-        uniforms = None
-    times, walk = _crossings(values, a, path.spacing, uniforms)
-    times = np.concatenate([[0.0], times])
-    walk = np.concatenate([[0], walk])
-    return SkeletalStructure(
-        level=level, times=times, walk=walk, mode=mode,
-        source={"kind": "bm-path", "spacing": path.spacing,
-                "seed_record": path.seed_record.to_dict()},
-    )
 
 
 def crossing_counts(sk: SkeletalStructure, t: float) -> CrossingCounts:

@@ -77,19 +77,37 @@ def test_non_finite_or_non_positive_is_usage_error(tmp_path, capsys, argv, name,
 
 class TestSkeletonCommand:
     def test_writes_valid_structure(self, tmp_path):
-        out = tmp_path / "s.skel"
-        assert run("skeleton", "--level", "10", "--horizon", "1",
-                   "--seed", "3", "-o", str(out)) == 0
-        sk = read_skeleton(out)
-        assert sk.level == 10
-        assert np.all(np.abs(np.diff(sk.walk)) == 1)
-        assert np.all(np.diff(sk.times) > 0)
+        for horizon, steps in (("1", 1024), ("0.7", 716)):  # floor(2^10 h)
+            out = tmp_path / f"s{horizon}.skel"
+            assert run("skeleton", "--level", "10", "--horizon", horizon,
+                       "--seed", "3", "-o", str(out)) == 0
+            sk = read_skeleton(out)
+            assert sk.level == 10 and sk.n_steps == steps
+            assert sk.mode == "exact" and sk.source["kind"] == "exact-walk"
+            assert np.all(np.abs(np.diff(sk.walk)) == 1)
+            assert np.all(np.diff(sk.times) > 0)
 
-    def test_coarse_spacing_is_usage_error(self, tmp_path, capsys):
-        code = run("skeleton", "--level", "10", "--horizon", "1",
-                   "--spacing", "0.01", "-o", str(tmp_path / "s.skel"))
+    def test_zero_steps_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "s.skel"
+        code = run("skeleton", "--level", "4", "--horizon", "0.05", "-o", str(out))
         assert code == 1
-        assert "spacing" in capsys.readouterr().err
+        assert "floor(2^4 * 0.05) = 0 steps" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--mode", "naive"), ("--spacing", "1e-3")])
+    def test_removed_flags_are_usage_errors(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "s.skel"
+        code = run("skeleton", "--level", "4", "--horizon", "1", flag, value,
+                   "-o", str(out))
+        assert code == 1
+        assert flag in capsys.readouterr().err
+        cfgfile = tmp_path / "s.cfg"
+        cfgfile.write_text(f"{flag[2:]} = {value}\n")
+        code = run("--config", str(cfgfile), "skeleton", "--level", "4",
+                   "--horizon", "1", "-o", str(out))
+        assert code == 1
+        assert f"unknown key {flag[2:]!r}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestVerifyCommand:
@@ -344,9 +362,6 @@ class TestFuzzedFlags:
         flags = {
             "--level": (st.integers(1, 8).map(str), _BAD_INT),
             "--horizon": (_floats(0.01, 2.0), _BAD_FLOAT),
-            "--mode": (st.sampled_from(["bridge", "naive"]), st.just("x")),
-            "--spacing": (st.sampled_from([None, "1e-3", "2e-4"]),
-                          st.one_of(_BAD_FLOAT, st.just("0.5"))),
             "--seed": (st.integers(0, 2**64).map(str), st.sampled_from(["-1", "x"])),
         }
         self._run_clean(_argv(data, "skeleton", flags), capsys)

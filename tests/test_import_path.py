@@ -1,5 +1,6 @@
 """scipy.special stays off the import path: only the exit-time sampler
-(the supercritical branch) loads it, on its first draw."""
+(the supercritical branch and the ``skeleton`` command) loads it, on its
+first draw."""
 
 import os
 import subprocess
@@ -34,8 +35,15 @@ SCRIPT = textwrap.dedent("""
     check_quadratic(0.3, 1.0, [4, 5], 8, 3)
     print("branches", special_loaded())
 
-    verify_branch("supercritical", config(0.35, (4, 5)))
-    print("supercritical", special_loaded())
+    if sys.argv[1] == "supercritical":
+        verify_branch("supercritical", config(0.35, (4, 5)))
+    else:
+        import contextlib, io, tempfile
+        with tempfile.TemporaryDirectory() as out:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert fbmbt.cli.main(["skeleton", "--level", "4",
+                                       "--horizon", "1", "--outdir", out]) == 0
+    print(sys.argv[1], special_loaded())
 """)
 
 
@@ -43,6 +51,8 @@ def test_only_the_exit_time_sampler_loads_scipy_special():
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"]
                                if env.get("PYTHONPATH") else "")
-    out = subprocess.run([sys.executable, "-c", SCRIPT], env=env, text=True,
-                         capture_output=True, check=True).stdout.split("\n")
-    assert out[:3] == ["import False", "branches False", "supercritical True"]
+    for loader in ("supercritical", "skeleton"):
+        out = subprocess.run([sys.executable, "-c", SCRIPT, loader], env=env,
+                             text=True, capture_output=True, check=True).stdout
+        assert out.split("\n")[:3] == ["import False", "branches False",
+                                       f"{loader} True"]

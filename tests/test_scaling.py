@@ -8,7 +8,6 @@ import pytest
 from fbmbt.fgn import (FbmPath, HurstParameter, floor_steps, sample_fbm_two_sided,
                        sample_fgn, uniform_step)
 from fbmbt.scaling import check_cubic, check_quadratic, power_variation
-from fbmbt.skeleton import SpacingError
 from fbmbt.streams import SeedRecord
 
 
@@ -22,7 +21,7 @@ class TestPowerVariation:
 
     def test_spacing_mismatch_rejected(self):
         path = sample_fbm_two_sided(0.5, 0.01, 128, seed=1)
-        with pytest.raises(SpacingError):
+        with pytest.raises(ValueError, match="does not equal"):
             power_variation(path, 2, 8, 0.5)
 
     def test_horizon_beyond_extent_rejected(self):

@@ -1,4 +1,4 @@
-"""Hitting-time extraction, crossing counts, and the exact walk sampler."""
+"""The path-scan oracle, crossing counts, and the exact walk sampler."""
 
 import math
 
@@ -9,14 +9,14 @@ from scipy.integrate import quad
 
 from fbmbt.fgn import BmPath, dyadic_step, sample_bm
 from fbmbt.skeleton import (CrossingCounts, InsufficientStepsError,
-                            SkeletalStructure, SpacingError, build_skeleton,
-                            crossing_counts, exit_time_cdf, exit_time_pdf,
-                            killed_position, killed_position_cdf,
-                            read_skeleton, sample_exit_times,
-                            sample_walk_exact, updown_difference,
-                            write_skeleton)
+                            SkeletalStructure, crossing_counts, exit_time_cdf,
+                            exit_time_pdf, killed_position,
+                            killed_position_cdf, read_skeleton,
+                            sample_exit_times, sample_walk_exact,
+                            updown_difference, write_skeleton)
 from fbmbt.stats import ks_two_sample
 from fbmbt.streams import SeedRecord
+from path_joint import scan_skeleton
 
 
 def _manual_bm(values, spacing):
@@ -33,6 +33,8 @@ def _manual_skeleton(level, walk):
 
 
 class TestBuildSkeleton:
+    """The sequential path scan (tests/path_joint.py), the only path oracle."""
+
     def test_staircase_path(self):
         # linear ramp 0 -> 3a hits the three grid lines at exact sample times
         n = 4
@@ -40,7 +42,7 @@ class TestBuildSkeleton:
         dt = 2.0 ** (-n - 4)
         t = np.arange(0, int(3 * a / dt) + 1) * dt
         path = _manual_bm(t, dt)  # slope 1, horizon 3a
-        sk = build_skeleton(path, n, mode="naive")
+        sk = scan_skeleton(path, n, "naive")
         np.testing.assert_array_equal(sk.walk, [0, 1, 2, 3])
         np.testing.assert_allclose(sk.times, [0.0, a, 2 * a, 3 * a], rtol=0, atol=1e-15)
 
@@ -49,19 +51,14 @@ class TestBuildSkeleton:
         dt = 2.0 ** (-n - 4)
         t = np.arange(0, int(0.8 / dt) + 1) * dt
         path = _manual_bm(-t, dt)
-        sk = build_skeleton(path, n, mode="naive")
+        sk = scan_skeleton(path, n, "naive")
         np.testing.assert_array_equal(sk.walk[:4], [0, -1, -2, -3])
-
-    def test_rejects_coarse_spacing(self):
-        y = sample_bm(1.0, 2.0**-6, seed=1)
-        with pytest.raises(SpacingError, match="need spacing"):
-            build_skeleton(y, 8)
 
     def test_empty_structure_is_valid(self):
         n = 4
         dt = 2.0 ** (-n - 4)
         path = _manual_bm(np.zeros(64), dt)
-        sk = build_skeleton(path, n, mode="naive")
+        sk = scan_skeleton(path, n, "naive")
         assert sk.n_steps == 0
 
     def test_bridge_detects_touching_excursion(self):
@@ -73,81 +70,25 @@ class TestBuildSkeleton:
         eps = 1e-13
         vals = np.array([0.0, a - eps, a - eps, 0.0, 0.0])
         path = _manual_bm(vals, dt)
-        naive = build_skeleton(path, n, mode="naive")
+        naive = scan_skeleton(path, n, "naive")
         assert naive.n_steps == 0
-        bridge = build_skeleton(path, n, mode="bridge", seed=3)
+        bridge = scan_skeleton(path, n, "bridge", seed=3)
         np.testing.assert_array_equal(bridge.walk, [0, 1, 0])
         assert np.all(np.diff(bridge.times) > 0)
 
     def test_deterministic_given_seed(self):
         y = sample_bm(1.0, 2.0**-9, seed=8)
-        a = build_skeleton(y, 6, seed=5)
-        b = build_skeleton(y, 6, seed=5)
+        a = scan_skeleton(y, 6, "bridge", seed=5)
+        b = scan_skeleton(y, 6, "bridge", seed=5)
         np.testing.assert_array_equal(a.walk, b.walk)
         np.testing.assert_array_equal(a.times, b.times)
 
     def test_walk_steps_are_unit(self):
         y = sample_bm(2.0, 2.0**-10, seed=9)
-        sk = build_skeleton(y, 7)
+        sk = scan_skeleton(y, 7, "bridge", seed=9)
         assert sk.n_steps > 0
         assert np.all(np.abs(np.diff(sk.walk)) == 1)
         assert np.all(np.diff(sk.times) > 0)
-
-    def test_mean_first_hitting_time(self):
-        # E[T_1] = 2^{-n}; fine spacing keeps the detection bias below noise
-        n, reps = 6, 10_000
-        base = SeedRecord(31)
-        t1 = np.empty(reps)
-        for r in range(reps):
-            rec = base.derive("replica", r)
-            y = sample_bm(0.6, 2.0 ** (-n - 6), rec)
-            sk = build_skeleton(y, n, seed=rec.derive("bridge"))
-            assert sk.n_steps >= 1
-            t1[r] = sk.times[1]
-        se = np.sqrt(2.0 / 3.0) * 2.0**-n / np.sqrt(reps)
-        assert abs(t1.mean() - 2.0**-n) <= 3 * se
-
-    def test_time_scale_matches_exact_law(self):
-        # bridge-extracted (T_1, walk position) vs the exact sampler, KS level
-        n, reps, k_steps = 6, 1500, 32
-        base = SeedRecord(32)
-        t1 = np.empty(reps)
-        pos = np.empty(reps)
-        for r in range(reps):
-            rec = base.derive("replica", r)
-            y = sample_bm(1.4, 2.0 ** (-n - 6), rec)
-            sk = build_skeleton(y, n, seed=rec.derive("bridge"))
-            assert sk.n_steps >= k_steps
-            t1[r] = sk.times[1]
-            pos[r] = sk.walk[k_steps]
-        exact_t1 = np.empty(reps)
-        exact_pos = np.empty(reps)
-        for r in range(reps):
-            sk = sample_walk_exact(n, k_steps, base.derive("walk", r))
-            exact_t1[r] = sk.times[1]
-            exact_pos[r] = sk.walk[k_steps]
-        assert ks_two_sample(t1, exact_t1).p_value > 0.01
-        assert ks_two_sample(pos, exact_pos).p_value > 0.01
-
-    def test_partition_approximation_tightens(self):
-        # median of sup_{s<=t} |T_{floor(2^n s)} - s| shrinks by >= 1.5x per n+2
-        reps, t = 200, 1.0
-        medians = {}
-        base = SeedRecord(33)
-        for n in (6, 8, 10, 12):
-            sups = np.empty(reps)
-            for r in range(reps):
-                rec = base.derive("replica", n, r)
-                y = sample_bm(t + 0.5, 2.0 ** (-n - 2), rec)
-                sk = build_skeleton(y, n, seed=rec.derive("bridge"))
-                k_max = min(sk.n_steps, int(2**n * t))
-                ks = np.arange(0, k_max + 1)
-                lo = np.abs(sk.times[ks] - ks * 2.0**-n)
-                hi = np.abs(sk.times[ks] - (ks + 1) * 2.0**-n)
-                sups[r] = max(lo.max(), hi.max())
-            medians[n] = np.median(sups)
-        for n in (6, 8, 10):
-            assert medians[n] / medians[n + 2] >= 1.5, medians
 
 
 class TestCrossingCounts:
@@ -472,12 +413,3 @@ class TestSerialization:
         assert back.level == 7 and back.mode == "exact"
         np.testing.assert_array_equal(back.walk, sk.walk)
         np.testing.assert_array_equal(back.times, sk.times)
-
-    def test_bridge_source_metadata(self, tmp_path):
-        y = sample_bm(0.5, 2.0**-9, seed=11)
-        sk = build_skeleton(y, 6)
-        f = tmp_path / "b.skel"
-        write_skeleton(sk, f)
-        back = read_skeleton(f)
-        assert back.source["kind"] == "bm-path"
-        assert back.source["spacing"] == y.spacing
