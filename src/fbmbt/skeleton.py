@@ -9,7 +9,10 @@ cell.
 ``sample_walk_exact`` draws it without simulating a path: walk steps are
 fair coin flips and the holding times are i.i.d. copies of 2^{-n} * tau,
 with tau the exit time of standard Brownian motion from (-1, 1), drawn
-exactly by Devroye's (2009) alternating-series rejection sampler.
+exactly by rejection from a fixed table: a Walker alias table over
+certified bounds of tau's density on equal bins, a squeeze, and the
+density's alternating series (Devroye 2009) for the lanes the squeeze
+leaves open.
 ``killed_position`` draws where that motion sits inside a step at a given
 elapsed time, given that it has not yet left the cell.
 """
@@ -21,6 +24,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 
@@ -154,15 +158,7 @@ def updown_difference(terminal: int, j: int) -> int:
 _SMALL_T = 0.4
 _K_LARGE = 24
 _K_SMALL = 12
-
-
-@lru_cache(maxsize=1)
-def _special():
-    """scipy.special, imported on the first exit-time use: it is most of
-    fbmbt's import time, and only the exit-time code needs it (its erfc
-    and erfcinv define the supercritical stream)."""
-    import scipy.special
-    return scipy.special
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 def exit_time_cdf(t) -> "float | np.ndarray":
@@ -175,9 +171,8 @@ def exit_time_cdf(t) -> "float | np.ndarray":
     if np.any(small):
         ts = t[small]
         acc = np.zeros_like(ts)
-        erfc = _special().erfc
         for k in range(_K_SMALL):
-            term = erfc((2 * k + 1) / np.sqrt(2.0 * ts))
+            term = _erfc((2 * k + 1) / np.sqrt(2.0 * ts)).astype(float)
             acc += (term if k % 2 == 0 else -term)
             if np.all(np.abs(term) < 1e-12):
                 break
@@ -227,68 +222,154 @@ def exit_time_pdf(t) -> "float | np.ndarray":
     return float(out[0]) if scalar else out
 
 
-# Devroye's (2009) sampler.  The density of tau is sum_{n>=0} (-1)^n a_n(x)
-# with a_n(x) = pi (n+1/2) exp(-(n+1/2)^2 pi^2 x/2) (eigen form, used above
-# _DEVROYE_T) or pi (n+1/2) (2/(pi x))^{3/2} exp(-2 (n+1/2)^2/x) (image form,
-# used below it).  On either side the a_n decrease in n, so the partial sums
-# bracket the density alternately.  The proposal is a_0 itself: a Levy law
-# cut at _DEVROYE_T on the left, an exponential tail of rate pi^2/8 on the
-# right, with masses _LEFT_MASS and _RIGHT_MASS (sum 1.001, the mean number
-# of proposals per draw).  In both forms a_n/a_0 = (2n+1) exp(-n(n+1) c),
-# c = 2/x on the left and pi^2 x/2 on the right.
-_DEVROYE_T = 0.64
-_LEFT_MASS = 2.0 * math.erfc(1.0 / math.sqrt(2.0 * _DEVROYE_T))
-_RIGHT_MASS = (4.0 / math.pi) * math.exp(-math.pi**2 * _DEVROYE_T / 8.0)
+# The exit-time sampler.  The density of tau is sum_{n>=0} (-1)^n a_n(x) with
+# a_n(x) = pi (n+1/2) exp(-(n+1/2)^2 pi^2 x/2)            (eigen form)
+#        = pi (n+1/2) (2/(pi x))^{3/2} exp(-2 (n+1/2)^2/x) (image form).
+# In both forms a_n/a_0 = (2n+1) exp(-n(n+1) c), with c = 2/x (image) or
+# pi^2 x/2 (eigen).  The sampler takes the form with the larger c, the
+# image form below x = 2/pi, so c >= pi and the a_n decrease in n: the
+# partial sums S_1 <= S_3 <= ... <= f <= ... <= S_2 <= S_0 bracket the
+# density (Devroye 2009).
+#
+# Proposals come from a fixed envelope: _BINS equal bins on [0, _X_MAX],
+# each with certified bounds lo_b <= f <= hi_b, and Devroye's exponential
+# tail a_0 of rate pi^2/8 past _X_MAX, one proposal in 15000.  A Walker
+# alias table over the bins and the tail picks a column with probability
+# proportional to its envelope mass; a bin proposal is uniform in its bin.
+# The uniform w accepts at once when w hi_b <= lo_b (the squeeze); the
+# other bin lanes are decided exactly by the partial sums.  On the tail
+# f/a_0 >= S_1 = 1 - 3 exp(-pi^2 x) > 1 - 2^-53, above every double below
+# 1, so the tail squeeze _TAIL_SQUEEZE (1.0 in floating point) decides
+# every tail lane (notes/decisions.md).
+_X_MAX = 8.0
+_BINS = 2048
+_WIDTH = _X_MAX / _BINS
+_TAIL_MASS = (4.0 / math.pi) * math.exp(-math.pi**2 * _X_MAX / 8.0)
+_TAIL_SQUEEZE = 1.0 - 3.0 * math.exp(-math.pi**2 * _X_MAX)
+# relative margin on the bounds, far above the rounding of the few
+# operations that compute a partial sum
+_MARGIN = 1e-12
+# S_2/S_1 = 1 + 5 exp(-6c)/(1 - 3 exp(-2c)) <= 1 + 3.3e-8, as c >= pi
+_S2_OVER_S1 = 1.0 + 1e-7
 
 
-def _devroye_proposals(rng: np.random.Generator, m: int) -> np.ndarray:
+def _series_head(x: np.ndarray) -> tuple:
+    """(a_0(x), c(x)) of the alternating series of the density at x > 0."""
+    image_c = 2.0 / x
+    c = np.maximum(image_c, (0.5 * math.pi**2) * x)
+    # a_0 = (pi/2) exp(-c/4) in both forms, times (2/(pi x))^{3/2} in the
+    # image form, where 2/(pi x) > 1
+    a0 = (0.5 * math.pi) * np.exp(-0.25 * c) * np.maximum(image_c / math.pi, 1.0) ** 1.5
+    return a0, c
+
+
+def _alias_table(weights: np.ndarray) -> tuple:
+    """Walker's alias table, by Vose's method: column j keeps itself with
+    probability prob[j] and otherwise gives alias[j]."""
+    n = len(weights)
+    scaled = (weights * (n / weights.sum())).tolist()
+    prob = np.ones(n)
+    alias = np.arange(n)
+    small = [j for j in range(n) if scaled[j] < 1.0]
+    large = [j for j in range(n) if scaled[j] >= 1.0]
+    while small and large:
+        j, k = small.pop(), large.pop()
+        prob[j], alias[j] = scaled[j], k
+        scaled[k] -= 1.0 - scaled[j]
+        (small if scaled[k] < 1.0 else large).append(k)
+    return prob, alias
+
+
+@lru_cache(maxsize=1)
+def _exit_time_table() -> tuple:
+    """(lo, hi, keep, alias, squeeze), built once and read-only.
+
+    lo[b] <= f <= hi[b] on bin b; hi has one more entry, inf, for the tail.
+    Column j of the alias table (the bins, then the tail) keeps itself
+    when the scaled uniform u (_BINS + 1) is below keep[j] = j + prob[j]
+    and gives alias[j] otherwise.  squeeze is lo/hi on a bin and -1 on the
+    tail, whose lanes _TAIL_SQUEEZE decides.
+    """
+    edges = np.arange(_BINS + 1) * _WIDTH
+    a0, c = _series_head(edges[1:])
+    r1, r2, r3 = 3.0 * np.exp(-2.0 * c), 5.0 * np.exp(-6.0 * c), 7.0 * np.exp(-12.0 * c)
+    lo_end = np.concatenate([[0.0], a0 * (1.0 - r1 + r2 - r3) * (1.0 - _MARGIN)])
+    hi_end = np.concatenate([[0.0], a0 * (1.0 - r1 + r2) * (1.0 + _MARGIN)])
+    # f is unimodal: its least value on a bin is at an end, and so is its
+    # largest, except on the bins that may hold the mode.  f rises over
+    # bin b if hi_end[b] < lo_end[b + 1] (the mode is right of edge b) and
+    # falls if lo_end[b] > hi_end[b + 1] (the mode is left of edge b + 1).
+    lo = np.minimum(lo_end[:-1], lo_end[1:])
+    hi = np.maximum(hi_end[:-1], hi_end[1:])
+    first = int(np.flatnonzero(hi_end[:-1] < lo_end[1:])[-1])
+    last = int(np.flatnonzero(lo_end[:-1] > hi_end[1:])[0])
+    # there f <= S_0 = a_0 (image form), whose maximum is at x = 1/3
+    peak = np.clip(1.0 / 3.0, edges[first:last + 1], edges[first + 1:last + 2])
+    hi[first:last + 1] = _series_head(peak)[0] * (1.0 + _MARGIN)
+    prob, alias = _alias_table(np.append(hi * _WIDTH, _TAIL_MASS))
+    keep = np.arange(_BINS + 1) + prob
+    squeeze = np.append(lo / hi, -1.0)
+    hi = np.append(hi, np.inf)
+    for a in (lo, hi, keep, alias, squeeze):
+        a.setflags(write=False)
+    return lo, hi, keep, alias, squeeze
+
+
+def _table_proposals(rng: np.random.Generator, m: int) -> np.ndarray:
     """The accepted ones among m proposals, in draw order."""
-    v = 1.0 - rng.random(m)
-    v *= _LEFT_MASS + _RIGHT_MASS  # in (0, p + q]
-    w = rng.random(m)
-    left = np.flatnonzero(v <= _LEFT_MASS)
-    right = np.flatnonzero(v > _LEFT_MASS)
-    x = np.empty(m)
-    c = np.empty(m)
-    # Levy law cut at T: erfc(1/sqrt(2x)) = v/2 inverts its mass below x
-    z = _special().erfcinv(0.5 * v[left])
-    x_left = 0.5 / (z * z)
-    x[left] = x_left
-    c[left] = 2.0 / x_left
-    x_right = _DEVROYE_T - (8.0 / math.pi**2) * np.log((v[right] - _LEFT_MASS) / _RIGHT_MASS)
-    x[right] = x_right
-    c[right] = (0.5 * math.pi**2) * x_right
-    # accept when w <= S_1 = 1 - a_1/a_0; past S_1 (about 0.3 % of the
-    # lanes) walk the alternating partial sums until one decides
-    s = 1.0 - 3.0 * np.exp(-2.0 * c)
-    accept = w <= s
-    for i in np.flatnonzero(~accept):
-        partial, ci, n = float(s[i]), float(c[i]), 2
+    _, hi, keep, alias, squeeze = _exit_time_table()
+    u = rng.random((3, m))
+    col = u[0] * (_BINS + 1)  # below _BINS + 1 for every double u < 1
+    j = col.astype(np.intp)
+    b = np.where(col < keep[j], j, alias[j])
+    x = (b + 1.0 - u[1]) * _WIDTH  # in (0, _X_MAX] on a bin
+    w = u[2]
+    accept = w <= squeeze[b]
+    # the lanes past the squeeze: a bin lane is accepted when
+    # w hi_b <= f(x), which S_1 decides for all but a few in 10^7 and the
+    # series loop for those; a tail lane has hi = inf here and is decided
+    # by _TAIL_SQUEEZE below
+    rest = np.flatnonzero(~accept)
+    rest_bins = b[rest]
+    a0, c = _series_head(x[rest])
+    y = w[rest] * hi[rest_bins]
+    lower = a0 * (1.0 - 3.0 * np.exp(-2.0 * c))
+    decided = y <= lower
+    accept[rest] = decided
+    for i in np.flatnonzero(~decided & (y <= lower * _S2_OVER_S1)):
+        t, partial, ci, n = float(y[i] / a0[i]), float(lower[i] / a0[i]), float(c[i]), 2
         while True:
             term = (2 * n + 1) * math.exp(-n * (n + 1) * ci)
             if n % 2 == 0:
                 partial += term
-                if w[i] > partial:
+                if t > partial:
                     break
             else:
                 partial -= term
-                if w[i] <= partial:
-                    accept[i] = True
+                if t <= partial:
+                    accept[rest[i]] = True
                     break
             n += 1
+    tail = rest[rest_bins == _BINS]
+    if tail.size:
+        x[tail] = _X_MAX - (8.0 / math.pi**2) * np.log1p(-u[1, tail])
+        accept[tail] = w[tail] <= _TAIL_SQUEEZE
     return x[accept]
 
 
 def sample_exit_times(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Draw ``size`` i.i.d. copies of tau, exactly, by Devroye's rejection.
+    """Draw ``size`` i.i.d. copies of tau, exactly, by rejection from a
+    fixed binned envelope.
 
     Proposals are drawn in batches a little larger than the draws still
     missing; accepted proposals are kept in draw order.
     """
+    if size < 0:
+        raise ValueError(f"size must be >= 0, got {size}")
     parts, have = [np.empty(0)], 0
     while have < size:
         missing = size - have
-        part = _devroye_proposals(rng, missing + missing // 64 + 4)
+        part = _table_proposals(rng, missing + missing // 64 + 4)
         parts.append(part)
         have += len(part)
     return np.concatenate(parts)[:size]
@@ -302,6 +383,7 @@ def sample_exit_times(rng: np.random.Generator, size: int) -> np.ndarray:
 #   w_k = exp(-k(k+1) pi^2 s/2).  Both are divided by their value at u = 1.
 # For s <= 0.4 the images past |m| = 4 add less than erfc(9/sqrt(0.8)) ~ 1e-46.
 _IMAGES = range(-4, 5)
+_STANDARD_NORMAL = NormalDist()
 
 
 def _killed_series(s: float) -> tuple:
@@ -341,16 +423,21 @@ def killed_position_cdf(u: float, s: float) -> float:
 
 def killed_position(s: float, v: float) -> float:
     """The v-quantile of B_s given tau > s (``killed_position_cdf``), for v
-    in (0, 1); in (-1, 1), and 0 at s = 0.
+    in [0, 1); in [-1, 1), and 0 at s <= 0.
 
     Newton steps inside a shrinking bracket, bisecting when a step leaves
     it, until the distribution function is within 1e-13 of v.
     """
+    if not math.isfinite(s):
+        raise ValueError(f"s must be finite, got {s}")
+    if not 0.0 <= v < 1.0:
+        raise ValueError(f"v must be in [0, 1), got {v}")
     if s <= 0.0:
         return 0.0
     cdf, pdf = _killed_series(s)
-    if s <= _SMALL_T:  # nearly N(0, s) cut to (-1, 1)
-        u = min(max(-math.sqrt(2.0 * s) * float(_special().erfcinv(2.0 * v)), -0.999), 0.999)
+    if s <= _SMALL_T:  # nearly N(0, s) cut to (-1, 1); v = 0 starts at the left
+        z = _STANDARD_NORMAL.inv_cdf(v) if v > 0.0 else -math.inf
+        u = min(max(math.sqrt(s) * z, -0.999), 0.999)
     else:  # nearly the first eigenfunction, density (pi/4) cos(pi u/2)
         u = (2.0 / math.pi) * math.asin(2.0 * v - 1.0)
     lo, hi = -1.0, 1.0

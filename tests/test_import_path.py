@@ -1,6 +1,6 @@
-"""scipy.special stays off the import path: only the exit-time sampler
-(the supercritical branch and the ``skeleton`` command) loads it, on its
-first draw."""
+"""No code path of the package loads scipy: every ``verify`` branch, both
+scaling checks and the ``skeleton`` and ``selftest`` commands run in an
+interpreter where ``import scipy`` fails."""
 
 import os
 import subprocess
@@ -14,13 +14,11 @@ SRC = str(Path(fbmbt.__file__).resolve().parents[1])
 
 SCRIPT = textwrap.dedent("""
     import sys
+    sys.modules["scipy"] = None  # any import of scipy or its submodules fails
 
-    def special_loaded():
-        return "scipy.special" in sys.modules
+    import contextlib, io, tempfile
 
     import fbmbt.cli
-    print("import", special_loaded())
-
     from fbmbt.calculus import VerifyConfig, verify_branch
     from fbmbt.scaling import check_cubic, check_quadratic
     from fbmbt.variations import function_by_name
@@ -31,28 +29,23 @@ SCRIPT = textwrap.dedent("""
 
     verify_branch("subcritical", config(0.10, (4, 5, 6)))
     verify_branch("critical", config(1 / 6, (4, 5)))
+    verify_branch("supercritical", config(0.35, (4, 5)))
     check_cubic(1 / 6, 1.0, [4, 5], 8, 3)
     check_quadratic(0.3, 1.0, [4, 5], 8, 3)
-    print("branches", special_loaded())
-
-    if sys.argv[1] == "supercritical":
-        verify_branch("supercritical", config(0.35, (4, 5)))
-    else:
-        import contextlib, io, tempfile
-        with tempfile.TemporaryDirectory() as out:
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert fbmbt.cli.main(["skeleton", "--level", "4",
-                                       "--horizon", "1", "--outdir", out]) == 0
-    print(sys.argv[1], special_loaded())
+    with tempfile.TemporaryDirectory() as out:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert fbmbt.cli.main(["skeleton", "--level", "4", "--horizon",
+                                   "1", "--outdir", out]) == 0
+            assert fbmbt.cli.main(["selftest"]) == 0
+    print("done", sorted(m for m in sys.modules
+                         if m.split(".")[0] == "scipy" and sys.modules[m]))
 """)
 
 
-def test_only_the_exit_time_sampler_loads_scipy_special():
+def test_no_code_path_loads_scipy():
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"]
                                if env.get("PYTHONPATH") else "")
-    for loader in ("supercritical", "skeleton"):
-        out = subprocess.run([sys.executable, "-c", SCRIPT, loader], env=env,
-                             text=True, capture_output=True, check=True).stdout
-        assert out.split("\n")[:3] == ["import False", "branches False",
-                                       f"{loader} True"]
+    out = subprocess.run([sys.executable, "-c", SCRIPT], env=env, text=True,
+                         capture_output=True, check=True).stdout
+    assert out.splitlines()[-1] == "done []"

@@ -123,6 +123,15 @@ class TestCachedSolve:
         np.testing.assert_allclose(_increment_precision(m, hurst) @ c,
                                    solve_toeplitz(rho, c), rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("m, hurst", [(4, 0.35), (64, 0.2), (256, 0.35)])
+    def test_inverts_the_indexed_toeplitz_bit_for_bit(self, m, hurst):
+        # the covariance is a strided view now; it was built with an
+        # |i - k| index matrix, and the inverse keeps its bits
+        lag = np.arange(2 * m)
+        rho = increment_autocovariance(lag, hurst)
+        old = np.linalg.inv(rho[np.abs(lag[:, None] - lag[None, :])])
+        assert _increment_precision(m, hurst).tobytes() == old.tobytes()
+
     def test_cached_and_read_only(self):
         p = _increment_precision(16, 0.35)
         assert _increment_precision(16, 0.35) is p

@@ -1,8 +1,9 @@
-"""Declared dependencies match what the package imports, every
-module-level import is used, and every export exists."""
+"""Declared dependencies match what the package and its tests import,
+every module-level import is used, and every export exists."""
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,11 +17,42 @@ def test_every_dependency_is_imported():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     source = "\n".join(p.read_text() for p in (ROOT / "src" / "fbmbt").glob("*.py"))
     for requirement in project["dependencies"]:
-        name = re.match(r"[A-Za-z0-9_.-]+", requirement).group(0)
-        module = name.lower().replace("-", "_")
+        module = _distribution_module(requirement)
         pattern = rf"^\s*(import|from)\s+{re.escape(module)}\b"
         assert re.search(pattern, source, re.MULTILINE), \
             f"{requirement!r} is declared but src/fbmbt never imports {module}"
+
+
+def _distribution_module(requirement):
+    return re.match(r"[A-Za-z0-9_.-]+", requirement).group(0).lower().replace("-", "_")
+
+
+def _third_party_imports(directory):
+    """Top-level modules imported anywhere in ``directory``'s sources, less
+    the standard library, fbmbt and the directory's own modules."""
+    local = {p.stem for p in directory.glob("*.py")} | {"fbmbt"}
+    imported = set()
+    for path in directory.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    return imported - set(sys.stdlib_module_names) - local
+
+
+def test_every_import_is_declared():
+    # the package may import only its dependencies; the tests may also
+    # import the ``test`` extra
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    runtime = {_distribution_module(r) for r in project["dependencies"]}
+    test = {_distribution_module(r) for r in project["optional-dependencies"]["test"]}
+    package = _third_party_imports(ROOT / "src" / "fbmbt")
+    assert package <= runtime
+    tests = _third_party_imports(ROOT / "tests")
+    assert "scipy" in tests
+    assert not tests - runtime - test, \
+        f"tests import {sorted(tests - runtime - test)}, not declared in pyproject.toml"
 
 
 def _annotation_names(tree):

@@ -157,12 +157,19 @@ class TestUpdownDifference:
                     updown_difference(cc.terminal, j)
 
 
+# Devroye's (2009) sampler, which ``skeleton`` used before the table sampler,
+# kept as the law oracle.  Its proposal is a_0 itself: a Levy law cut at
+# _DEVROYE_T on the left and an exponential tail of rate pi^2/8 on the
+# right, with masses _LEFT_MASS and _RIGHT_MASS.
+_DEVROYE_T = 0.64
+_LEFT_MASS = 2.0 * math.erfc(1.0 / math.sqrt(2.0 * _DEVROYE_T))
+_RIGHT_MASS = (4.0 / math.pi) * math.exp(-math.pi**2 * _DEVROYE_T / 8.0)
+
+
 def _old_devroye_proposals(rng, m):
-    """``skeleton._devroye_proposals`` as it was before x and c were computed
-    on the left and right index sets apart; the bit-for-bit oracle."""
+    """The accepted ones among m of Devroye's proposals, in draw order."""
     from scipy.special import erfcinv
 
-    from fbmbt.skeleton import _DEVROYE_T, _LEFT_MASS, _RIGHT_MASS
     v = (1.0 - rng.random(m)) * (_LEFT_MASS + _RIGHT_MASS)  # in (0, p + q]
     w = rng.random(m)
     left = v <= _LEFT_MASS
@@ -194,22 +201,24 @@ def _old_devroye_proposals(rng, m):
     return x[accept]
 
 
+def _devroye_exit_times(rng, size):
+    """``size`` exit times from Devroye's sampler."""
+    parts, have = [], 0
+    while have < size:
+        parts.append(_old_devroye_proposals(rng, size - have + 16))
+        have += len(parts[-1])
+    return np.concatenate(parts)[:size]
+
+
+def _certified(lo, hi, points=65):
+    """Whether lo[b] <= f <= hi[b] at ``points`` even points of every bin b."""
+    from fbmbt.skeleton import _BINS, _WIDTH
+    grid = (np.arange(_BINS)[:, None] + np.linspace(0.0, 1.0, points)) * _WIDTH
+    f = exit_time_pdf(grid.ravel()).reshape(grid.shape)
+    return bool(np.all(lo[:, None] <= f) and np.all(f <= hi[:_BINS, None]))
+
+
 class TestExitTimeSampler:
-    @pytest.mark.parametrize("m, calls", [(1, 12000), (2, 6000), (5, 2400),
-                                          (4164, 4)])
-    def test_proposals_match_the_old_sampler_bit_for_bit(self, m, calls):
-        # both samplers consume 2m uniforms per call, so two generators on
-        # one seed stay in step; rejections come only out of the
-        # alternating-series loop, so counting them shows the loop ran
-        from fbmbt.skeleton import _devroye_proposals
-        old_rng = np.random.Generator(np.random.Philox(78))
-        new_rng = np.random.Generator(np.random.Philox(78))
-        rejected = 0
-        for _ in range(calls):
-            old = _old_devroye_proposals(old_rng, m)
-            assert _devroye_proposals(new_rng, m).tobytes() == old.tobytes()
-            rejected += m - len(old)
-        assert rejected >= 3
     def test_cdf_monotone_and_continuous_at_crossover(self):
         t = np.linspace(1e-3, 3.0, 4000)
         cdf = exit_time_cdf(t)
@@ -225,24 +234,60 @@ class TestExitTimeSampler:
             assert val == pytest.approx(exit_time_cdf(t_end), abs=1e-8)
 
     def test_moments(self):
-        # E tau = 1, Var tau = 2/3 for exit from (-1, 1)
-        rng = SeedRecord(40).generator()
-        tau = sample_exit_times(rng, 40_000)
+        # E tau = 1 and Var tau = 2/3 for exit from (-1, 1), each within 3 SE
+        tau = sample_exit_times(SeedRecord(40).generator(), 200_000)
         assert abs(tau.mean() - 1.0) <= 3 * np.sqrt(2.0 / 3.0 / tau.size)
-        assert abs(tau.var(ddof=1) - 2.0 / 3.0) <= 0.03
+        sq = (tau - tau.mean()) ** 2
+        assert abs(tau.var() - 2.0 / 3.0) <= 3 * np.sqrt(sq.var() / tau.size)
+
+    def test_matches_devroye_sampler(self):
+        # two-sample KS against the sampler the table replaced
+        tau = sample_exit_times(SeedRecord(47).generator(), 200_000)
+        oracle = _devroye_exit_times(SeedRecord(48).generator(), 200_000)
+        res = ks_two_sample(tau, oracle)
+        assert res.p_value > 1e-3, res
 
     def test_matches_distribution_function(self):
-        # one-sample KS of Devroye's draws against the series cdf
+        # one-sample KS of the draws against the series cdf
         tau = sample_exit_times(SeedRecord(41).generator(), 20_000)
         res = scipy.stats.kstest(tau, exit_time_cdf)
         assert res.pvalue > 1e-3, res
 
+    def test_table_certifies_the_density(self):
+        from fbmbt.skeleton import _BINS, _exit_time_table
+        lo, hi, _, _, squeeze = _exit_time_table()
+        assert _certified(lo, hi)
+        assert hi[_BINS] == np.inf and squeeze[_BINS] < 0
+        np.testing.assert_array_equal(squeeze[:_BINS], lo / hi[:_BINS])
+
+    @pytest.mark.parametrize("x", [0.1, 1 / 3, 1.0, 5.0])
+    def test_a_bound_past_the_density_fails_certification(self, x):
+        # rising, mode, falling and far bins: a bound moved past the density
+        # by 1e-4 of itself fails, and so does the mode's bin bounded by its
+        # ends alone
+        from fbmbt.skeleton import _WIDTH, _exit_time_table
+        lo, hi, _, _, _ = _exit_time_table()
+        b = int(x / _WIDTH)
+        low_hi = hi.copy()
+        low_hi[b] *= 1 - 1e-4
+        assert not _certified(lo, low_hi)
+        high_lo = lo.copy()
+        high_lo[b] *= 1 + 1e-4
+        assert not _certified(high_lo, hi)
+        ends = exit_time_pdf(np.array([b, b + 1]) * _WIDTH).max() * (1 + 1e-12)
+        ends_only = hi.copy()
+        ends_only[b] = ends
+        assert _certified(lo, ends_only) == (x != 1 / 3)
+
     def test_acceptance_rule_is_the_density_ratio(self):
-        # proposals at known points: a uniform just below the ratio of the
-        # density to the envelope a_0 accepts, one just above rejects
-        from fbmbt.skeleton import (_DEVROYE_T, _LEFT_MASS, _RIGHT_MASS,
-                                    _devroye_proposals)
-        from scipy.special import erfcinv
+        # replayed uniforms: a w just below f(x)/hi_b accepts and one just
+        # above rejects, on a squeezed lane (the right end of a falling
+        # bin), a lane that S_1 decides (mid-bin), one that the series loop
+        # decides (x near 2/pi, where S_1 and S_2 are furthest apart) and a
+        # tail lane, whose envelope is a_0 and whose f/a_0 is 1.0 in doubles
+        from fbmbt.skeleton import (_BINS, _S2_OVER_S1, _WIDTH, _X_MAX,
+                                    _exit_time_table, _series_head,
+                                    _table_proposals)
 
         class _Replay:
             def __init__(self, *draws):
@@ -250,29 +295,37 @@ class TestExitTimeSampler:
 
             def random(self, size):
                 out = self.draws.pop(0)
-                assert size == len(out)
+                assert out.shape == size
                 return out
 
-        v = np.linspace(0.0, 1.0, 401)[1:] * (_LEFT_MASS + _RIGHT_MASS)
-        left = v <= _LEFT_MASS
-        x = np.where(left, 0.5 / erfcinv(0.5 * np.minimum(v, _LEFT_MASS)) ** 2,
-                     _DEVROYE_T - (8 / np.pi**2)
-                     * np.log(np.maximum(v - _LEFT_MASS, 1e-300) / _RIGHT_MASS))
-        envelope = np.where(left,
-                            (np.pi / 2) * (2 / (np.pi * x)) ** 1.5 * np.exp(-0.5 / x),
-                            (np.pi / 2) * np.exp(-np.pi**2 * x / 8))
-        ratio = exit_time_pdf(x) / envelope
-        assert np.all((ratio > 0.99) & (ratio <= 1.0))
-        u = 1.0 - v / (_LEFT_MASS + _RIGHT_MASS)
-        below = _devroye_proposals(_Replay(u, ratio * (1 - 1e-9)), len(v))
-        np.testing.assert_allclose(below, x, rtol=1e-12)
-        assert len(_devroye_proposals(_Replay(u, ratio * (1 + 1e-9)), len(v))) == 0
+        lo, hi, keep, _, _ = _exit_time_table()
+        bins = np.array([int(1.0 / _WIDTH), int(0.2 / _WIDTH),
+                         int(2 / math.pi / _WIDTH), _BINS])
+        u0 = (bins + 0.5 * (keep[bins] - bins)) / (_BINS + 1)
+        u1 = np.array([0.0, 0.5, 0.5, 0.5])
+        x = (bins + 1.0 - u1) * _WIDTH
+        x[3] = _X_MAX - (8 / math.pi**2) * math.log(0.5)
+        ratio = exit_time_pdf(x) / hi[bins]
+        ratio[3] = 1.0
+        below, above = ratio * (1 - 1e-9), ratio * (1 + 1e-9)
+        assert below[0] * hi[bins[0]] <= lo[bins[0]]  # squeezed
+        assert below[1] * hi[bins[1]] > lo[bins[1]]  # past the squeeze
+        a0, c = _series_head(x[2])
+        s1 = 1 - 3 * math.exp(-2 * c)  # S_1 leaves lane 2 to the loop
+        assert a0 * s1 < below[2] * hi[bins[2]] <= a0 * s1 * _S2_OVER_S1
+        accepted = _table_proposals(_Replay(np.array([u0, u1, below])), 4)
+        np.testing.assert_allclose(accepted, x, rtol=1e-15)
+        assert len(_table_proposals(_Replay(np.array([u0, u1, above])), 4)) == 0
 
     def test_size_zero_and_one(self):
         rng = SeedRecord(45).generator()
         assert sample_exit_times(rng, 0).shape == (0,)
         one = sample_exit_times(rng, 1)
         assert one.shape == (1,) and one[0] > 0
+
+    def test_rejects_negative_size(self):
+        with pytest.raises(ValueError, match="size must be >= 0"):
+            sample_exit_times(SeedRecord(45).generator(), -3)
 
     def test_pdf_early_break_keeps_values(self):
         # the small-t pdf loop now stops once every term is below 1e-12; the
@@ -361,6 +414,20 @@ class TestKilledPosition:
 
     def test_zero_time_is_the_start(self):
         assert killed_position(0.0, 0.3) == 0.0
+
+    @pytest.mark.parametrize("s, v", [(0.3, 1.5), (0.3, 1.0), (0.3, -0.1),
+                                      (0.3, math.nan), (math.inf, 0.3),
+                                      (-math.inf, 0.3), (math.nan, 0.3)])
+    def test_rejects_bad_input(self, s, v):
+        with pytest.raises(ValueError, match="must be"):
+            killed_position(s, v)
+
+    @pytest.mark.parametrize("s", [1e-6, 0.3, 0.4])
+    def test_zero_quantile_is_the_left_end(self, s):
+        # the clock can draw v = 0.0; the Newton start is clamped to -0.999
+        # as the normal quantile of 0 is -inf
+        u = killed_position(s, 0.0)
+        assert -1.0 < u <= -0.999 and killed_position_cdf(u, s) <= 1e-13
 
 
 class TestSampleWalkExact:
