@@ -35,7 +35,7 @@ import numpy as np
 
 from .fgn import (ExtentError, FbmPath, HurstParameter, dyadic_step,
                   floor_steps, increment_autocovariance, sample_fbm_rows,
-                  sample_fbm_two_sided)
+                  sample_fbm_two_sided, sample_fgn_rows)
 from .skeleton import killed_position, sample_exit_times
 from .stats import (PerLevelReport, SampleSummary, check_layout,
                     fit_log2_slope, is_integral, ks_two_sample)
@@ -455,35 +455,40 @@ def _branch_supercritical_level(cfg: VerifyConfig, level: int) -> dict:
     }
 
 
-def _walk_ends_and_x(cfg: VerifyConfig, level: int, role: str) -> Iterator[tuple]:
-    """(replica, terminal index, X values) for every replica of one level
-    whose exact level-n walk ends at t on a nonzero index j*.
+def _walk_end_rows(cfg: VerifyConfig, level: int, role: str) -> Iterator[tuple]:
+    """Batches (replicas, |j*|, increment rows) over every replica of one
+    level whose exact level-n walk ends at t on a nonzero index j*.
 
     Replica r draws from the streams of ``SeedRecord(seed).derive(role,
-    level, r)``: j* from "walk", then X (spacing 2^{-n/2}, half extent the
-    least power of two >= |j*| + 2, time zero in the middle) from "fbm".
-    Replicas with j* = 0 have every cell sum empty and draw no X.  The
-    streams are keyed in bulk and X is drawn in batches of equal extent,
-    with the same draws per replica.
+    level, r)``: j* from "walk", then one-sided fGn at spacing 2^{-n/2} from
+    "fbm", as many increments as the least power of two >= |j*|.  Replicas
+    with j* = 0 have every cell sum empty and draw nothing.  Rows are drawn
+    in batches of equal length; the sums read the first |j*| entries.
     """
+    # Both sums read X only between 0 and j*.  fGn is stationary and
+    # s -> X(-s) is again an fBm, so a walk ending at -m gives, on the
+    # mirrored path, the sum of one ending at +m: in law the sums depend on
+    # |j*| only, and the increments from 0 to |j*| are one-sided fGn
+    # (notes/decisions.md).
     steps = floor_steps(level, cfg.t)
     rec = SeedRecord(cfg.seed).derive(role, level)
     stream = KeyedPhilox()
     walk_keys = rec.philox_keys(np.arange(cfg.replicas), "walk")
-    jstar = np.array([2 * int(stream.at(k).binomial(steps, 0.5)) - steps
-                      for k in walk_keys], dtype=np.int64)
-    drawn = np.flatnonzero(jstar)
-    halves = np.array([_pow2_at_least(abs(j) + 2) for j in jstar[drawn].tolist()],
-                      dtype=np.int64)
+    ends = np.array([abs(2 * int(stream.at(k).binomial(steps, 0.5)) - steps)
+                     for k in walk_keys], dtype=np.int64)
+    drawn = np.flatnonzero(ends)
+    lengths = np.array([_pow2_at_least(m) for m in ends[drawn].tolist()],
+                       dtype=np.int64)
     fbm_keys = rec.philox_keys(drawn, "fbm")
     a = dyadic_step(level)
-    for half in np.unique(halves).tolist():
-        same = halves == half
-        reps = iter(drawn[same].tolist())
-        for values, _ in sample_fbm_rows(cfg.hurst, a, half, fbm_keys[same], stream):
-            for row in values:
-                rep = next(reps)
-                yield rep, int(jstar[rep]), row
+    for n_inc in np.unique(lengths).tolist():
+        same = lengths == n_inc
+        reps = drawn[same]
+        start = 0
+        for rows, _ in sample_fgn_rows(cfg.hurst, a, n_inc, fbm_keys[same], stream):
+            batch = reps[start:start + len(rows)]
+            yield batch, ends[batch], rows
+            start += len(rows)
 
 
 def _critical_lhs(cfg: VerifyConfig, level: int) -> np.ndarray:
@@ -516,28 +521,49 @@ def _critical_lhs(cfg: VerifyConfig, level: int) -> np.ndarray:
     return lhs
 
 
-def _branch_critical_level(cfg: VerifyConfig, level: int) -> dict:
+def _critical_rhs(cfg: VerifyConfig, level: int) -> np.ndarray:
+    """V_n(f', t), the symmetric cell sum over the walk's cells, one per
+    replica of the level (0 where the walk ends at 0)."""
     f1 = _as_weight(cfg.f, 1)
+    rhs = np.zeros(cfg.replicas)
+    for reps, ends, rows in _walk_end_rows(cfg, level, "critical-rhs"):
+        values = np.zeros((len(rows), rows.shape[1] + 1))
+        np.cumsum(rows, axis=1, out=values[:, 1:])
+        for rep, m, x in zip(reps.tolist(), ends.tolist(), values):
+            rhs[rep] = _cell_sum(f1, x, 1, m, 1, center=0)
+    return rhs
+
+
+def _branch_critical_level(cfg: VerifyConfig, level: int) -> dict:
     lhs_pool = _critical_lhs(cfg, level)
-    rhs_pool = np.zeros(cfg.replicas)
-    for rep, jstar, row in _walk_ends_and_x(cfg, level, "critical-rhs"):
-        rhs_pool[rep] = _cell_sum(f1, row, 1, jstar, 1)
+    rhs_pool = _critical_rhs(cfg, level)
     ks = ks_two_sample(lhs_pool, rhs_pool)
     return {"ks_distance": ks.statistic, "ks_p": ks.p_value,
             "lhs_std": float(lhs_pool.std(ddof=1)),
             "rhs_std": float(rhs_pool.std(ddof=1))}
 
 
-def _branch_subcritical_level(cfg: VerifyConfig, level: int) -> dict:
+def _cube_sums(cfg: VerifyConfig, level: int) -> np.ndarray:
+    """V_n^(3)(1, t), the unweighted cube sum over the walk's cells, one per
+    replica of the level (0 where the walk ends at 0)."""
     vals = np.zeros(cfg.replicas)
-    for rep, jstar, row in _walk_ends_and_x(cfg, level, "subcritical"):
-        # unweighted cube sum: _cell_sum with a constant weight gives the
-        # same bits but evaluates the weight on every cell
-        half = len(row) // 2
-        j = np.arange(0, jstar) if jstar > 0 else np.arange(jstar, 0)
-        d = row[j + 1 + half] - row[j + half]
-        sgn = 1.0 if jstar > 0 else -1.0
-        vals[rep] = sgn * math.fsum((d * d * d).tolist())
+    for reps, ends, rows in _walk_end_rows(cfg, level, "subcritical"):
+        # unweighted: _cell_sum with a constant weight gives the same bits
+        # but evaluates the weight on every cell
+        cubes = rows * rows * rows
+        for rep, m, row in zip(reps.tolist(), ends.tolist(), cubes):
+            vals[rep] = math.fsum(row[:m].tolist())
+    return vals
+
+
+def _branch_subcritical_level(cfg: VerifyConfig, level: int) -> dict:
+    vals = _cube_sums(cfg, level)
+    if not vals.any():
+        raise ValueError(
+            f"subcritical level {level}: every walk ended at 0 "
+            f"(floor(2^{level} * {cfg.t}) = {floor_steps(level, cfg.t)} steps), "
+            "so the cube sum has zero variance; raise the level or t"
+        )
     s = SampleSummary.from_samples(vals)
     return {"mean": s.mean, "variance": s.variance,
             "var_stderr": float(s.variance * math.sqrt(2.0 / (len(vals) - 1)))}

@@ -51,6 +51,7 @@ __all__ = [
     "sample_fgn",
     "sample_fbm_two_sided",
     "sample_fbm_rows",
+    "sample_fgn_rows",
     "sample_bm",
     "dyadic_step",
     "uniform_step",
@@ -66,8 +67,9 @@ _CRITICAL_TOL = 1e-12
 # Grid size cap for the O(M^3) Cholesky fallback.
 _CHOLESKY_MAX = 4096
 
-# Working-array bytes per chunk of sample_fbm_rows, at 72 bytes per
-# increment of a row: normals, half-spectrum, irfft output, sums and path.
+# Working-array bytes per chunk of sample_fgn_rows and sample_fbm_rows, at
+# 72 bytes per increment of a row: normals, half-spectrum, irfft output,
+# scaled rows, and the sums and path of a two-sided row.
 _BATCH_BYTES = 2**20
 
 FORMAT_VERSION = 1
@@ -409,11 +411,28 @@ def sample_fbm_rows(hurst, spacing: float, half_extent: int, keys: np.ndarray,
     Yields (values, method) with values of shape (rows, 2 * half_extent + 1).
     """
     h, half_extent = _check_two_sided(hurst, spacing, half_extent)
-    n_inc = 2 * half_extent
+    for inc, used in sample_fgn_rows(h, spacing, 2 * half_extent, keys, stream):
+        yield _two_sided(inc, half_extent), used
+
+
+def sample_fgn_rows(hurst, spacing: float, n_inc: int, keys: np.ndarray,
+                    stream: KeyedPhilox) -> Iterator[tuple[np.ndarray, str]]:
+    """One-sided fGn rows, one per Philox key, in chunks of rows.
+
+    Row i equals ``sample_fgn(hurst, spacing, n_inc, record)`` for the record
+    whose Philox key is ``keys[i]``, bit for bit.  Each chunk's embedding and
+    ``irfft`` run in one call, on about ``_BATCH_BYTES`` of working arrays.
+    Yields (increments, method) with increments of shape (rows, n_inc).
+    """
+    h = HurstParameter(_hvalue(hurst))
+    _check_positive_finite("spacing", spacing)
+    n_inc = int(n_inc)
+    if n_inc < 1:
+        raise ValueError(f"n_inc must be >= 1, got {n_inc}")
     rows = max(1, _BATCH_BYTES // (72 * n_inc))
     for start in range(0, len(keys), rows):
         fgn, used = _sample_fgn_rows(keys[start:start + rows], stream, n_inc, h.value)
-        yield _two_sided(fgn * spacing**h.value, half_extent), used
+        yield fgn * spacing**h.value, used
 
 
 def sample_bm(horizon: float, spacing: float, seed: "int | SeedRecord") -> BmPath:

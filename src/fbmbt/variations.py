@@ -261,15 +261,16 @@ def symmetric_cell_sum(f: SmoothFunction, x_grid: FbmPath, level: int,
 
 
 def _cell_sum(f: SmoothFunction, values: np.ndarray, stride: int,
-             terminal: int, order: int) -> float:
-    """``symmetric_cell_sum`` on the raw values of a two-sided grid (time
-    zero in the middle), unchecked; cell j spans grid points j*stride and
-    (j+1)*stride from the middle."""
+             terminal: int, order: int, center: "int | None" = None) -> float:
+    """``symmetric_cell_sum`` on raw grid values with time zero at index
+    ``center`` (the middle of a two-sided grid when None), unchecked; cell j
+    spans grid points j*stride and (j+1)*stride from time zero."""
     if terminal == 0:
         return 0.0
     j = np.arange(0, terminal) if terminal > 0 else np.arange(terminal, 0)
     sign = float(updown_difference(terminal, int(j[0])))
-    center = len(values) // 2
+    if center is None:
+        center = len(values) // 2
     x0 = values[j * stride + center]
     x1 = values[(j + 1) * stride + center]
     fz = 0.5 * (f(x0) + f(x1))

@@ -11,24 +11,26 @@ import numpy as np
 
 from fbmbt.calculus import (LHS_CELLS, _as_weight, _pow2_at_least,
                             _x_conditional)
-from fbmbt.fgn import dyadic_step, floor_steps, sample_fbm_two_sided
+from fbmbt.fgn import (dyadic_step, floor_steps, sample_fbm_two_sided,
+                       sample_fgn)
 from fbmbt.skeleton import killed_position, sample_exit_times
 from fbmbt.variations import symmetric_cell_sum
 
 
 def walk_end_and_x(cfg, level, rec):
-    """Terminal index of the exact level-n walk at t, and X over its cells.
+    """Terminal index j* of the exact level-n walk at t, and the one-sided
+    fGn row (spacing 2^{-n/2}) whose first |j*| increments the sums read.
 
-    X (spacing 2^{-n/2}) is drawn only when the terminal index is nonzero;
-    otherwise every cell sum is empty and X is None.
+    The row holds the least power of two >= |j*| increments; it is drawn
+    only when j* is nonzero, otherwise every cell sum is empty and the row
+    is None.
     """
     steps = floor_steps(level, cfg.t)
     jstar = 2 * int(rec.derive("walk").generator().binomial(steps, 0.5)) - steps
     if jstar == 0:
         return 0, None
-    half = _pow2_at_least(abs(jstar) + 2)
-    return jstar, sample_fbm_two_sided(cfg.hurst, dyadic_step(level), half,
-                                       rec.derive("fbm"))
+    return jstar, sample_fgn(cfg.hurst, dyadic_step(level),
+                             _pow2_at_least(abs(jstar)), rec.derive("fbm"))
 
 
 def supercritical_pair(cfg, level, rec):

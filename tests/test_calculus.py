@@ -1,15 +1,20 @@
 """Two-point expansion, residuals, correction term, branch verification."""
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy
 
-from fbmbt.calculus import (KAPPA3, VerificationReport, VerifyConfig,
-                            _critical_lhs, _skeletal_z_values,
-                            _supercritical_pairs, _walk_ends_and_x,
+import fbmbt.calculus as calculus_mod
+import fbmbt.fgn as fgn_mod
+from fbmbt.calculus import (KAPPA3, LHS_CELLS, VerificationReport, VerifyConfig,
+                            _branch_critical_level, _branch_subcritical_level,
+                            _critical_lhs, _critical_rhs, _cube_sums,
+                            _skeletal_z_values,
+                            _supercritical_pairs, _walk_end_rows,
                             correction_std, evaluate_gate, ito_residual,
                             sample_joint, taylor_coefficients, verify_branch)
 from fbmbt.fgn import increment_autocovariance, sample_fbm_two_sided
@@ -306,32 +311,47 @@ class TestVerifyBranch:
         assert csv.splitlines()[0] == "level,variance"
         assert csv.splitlines()[1] == "4,1.0"
 
+    def test_subcritical_level_where_every_walk_ends_at_0(self):
+        # floor(2 * 0.3) = 0 steps: V_1 = 0 on every replica
+        cfg = VerifyConfig(hurst=0.1, f=sine(), t=0.3, levels=(1, 2, 3),
+                           replicas=20, seed=3)
+        with pytest.raises(ValueError, match="level 1: every walk ended at 0"):
+            verify_branch("subcritical", cfg)
+
 
 class TestLevelDraw:
     """One pass over a level draws what each replica drew on its own."""
 
     @pytest.mark.parametrize("role, hurst", [("subcritical", 0.1),
                                              ("critical-rhs", 1 / 6)])
-    @pytest.mark.parametrize("level, t", [(4, 1.0), (9, 0.7), (12, 1.0)])
+    @pytest.mark.parametrize("level, t", [(4, 1.0), (9, 0.7), (12, 1.0), (3, 0.9)])
     def test_every_replica_matches_the_per_replica_draw(self, role, hurst, level, t):
+        # level 3 at t = 0.9 walks 7 steps, so |j*| is odd and rows of one
+        # increment occur
         cfg = VerifyConfig(hurst=hurst, f=sine(), t=t, levels=(level,),
                            replicas=150, seed=57)
-        yielded = list(_walk_ends_and_x(cfg, level, role))
-        drawn = {rep: (jstar, row) for rep, jstar, row in yielded}
-        assert len(drawn) == len(yielded)
+        drawn = {}
+        for reps, ends, rows in _walk_end_rows(cfg, level, role):
+            assert len(reps) == len(ends) == len(rows)
+            for rep, m, row in zip(reps.tolist(), ends.tolist(), rows):
+                assert rep not in drawn
+                drawn[rep] = (m, row)
         base = SeedRecord(57).derive(role, level)
-        signs = set()
+        signs, ends_seen = set(), set()
         for rep in range(cfg.replicas):
             jstar, x = walk_end_and_x(cfg, level, base.derive(rep))
             signs.add(int(np.sign(jstar)))
             if x is None:
                 assert jstar == 0 and rep not in drawn
                 continue
-            j, row = drawn.pop(rep)
-            assert j == jstar
-            assert row.tobytes() == x.values.tobytes()
+            m, row = drawn.pop(rep)
+            assert m == abs(jstar)
+            assert row.tobytes() == x.tobytes()
+            ends_seen.add(m)
         assert not drawn
         assert signs >= ({-1, 0, 1} if level == 4 else {-1, 1})
+        if level == 3:
+            assert 1 in ends_seen
 
     @pytest.mark.parametrize("hurst", [0.2, 0.35, 0.75])
     @pytest.mark.parametrize("t", [1.0, 0.3, 1.7])
@@ -361,6 +381,118 @@ class TestLevelDraw:
         old = np.array([critical_lhs(cfg, base.derive(rep))
                         for rep in range(cfg.replicas)])
         assert pool.tobytes() == old.tobytes()
+
+
+class TestWalkEndDraw:
+    """The subcritical and critical right-hand sums draw one-sided fGn rows
+    of the least power of two >= |j*| increments, and the cube sum has the
+    exact law of a sum of |j*| consecutive fGn cubes."""
+
+    @pytest.mark.parametrize("branch, hurst, level", [("subcritical", 0.1, 9),
+                                                      ("critical", 1 / 6, 7)])
+    def test_rows_are_the_least_power_of_two_at_least_the_walk_end(
+            self, monkeypatch, branch, hurst, level):
+        cfg = VerifyConfig(hurst=hurst, f=sine(), t=1.0, levels=(level,),
+                           replicas=120, seed=61)
+        requested = []
+        draw = fgn_mod._sample_fgn_rows
+
+        def recording(keys, stream, n_inc, hvalue):
+            requested.extend((k.tobytes(), n_inc) for k in keys)
+            return draw(keys, stream, n_inc, hvalue)
+
+        monkeypatch.setattr(fgn_mod, "_sample_fgn_rows", recording)
+        role = "subcritical" if branch == "subcritical" else "critical-rhs"
+        rec = SeedRecord(61).derive(role, level)
+        replica_of = {k.tobytes(): rep for rep, k in
+                      enumerate(rec.philox_keys(np.arange(cfg.replicas), "fbm"))}
+        ends = {}
+        for rep in range(cfg.replicas):
+            jstar, _ = walk_end_and_x(cfg, level, rec.derive(rep))
+            if jstar:
+                ends[rep] = abs(jstar)
+        run = {"subcritical": _branch_subcritical_level,
+               "critical": _branch_critical_level}[branch]
+        run(cfg, level)
+        rows = {replica_of[k]: n for k, n in requested if k in replica_of}
+        assert len(rows) == sum(k in replica_of for k, _ in requested)
+        assert rows.keys() == ends.keys()
+        for rep, n in rows.items():
+            m = ends[rep]
+            assert n & (n - 1) == 0 and m <= n and (n == 1 or n < 2 * m), (rep, m, n)
+        if branch == "critical":  # the left-hand side draws its unit rows
+            assert {n for k, n in requested if k not in replica_of} == {LHS_CELLS}
+
+    @pytest.mark.parametrize("level, t", [(3, 0.9), (4, 1.0), (9, 0.7)])
+    def test_sums_match_the_per_replica_sums(self, level, t):
+        # the sums of a walk ending at -m are the +m sums on the mirrored
+        # path, so both read the row's first |j*| increments from 0
+        cfg = VerifyConfig(hurst=1 / 6, f=function_by_name("gauss"), t=t,
+                           levels=(level,), replicas=60, seed=63)
+        f1 = cfg.f.derivative(1)
+        for role, pool in (("subcritical", _cube_sums(cfg, level)),
+                           ("critical-rhs", _critical_rhs(cfg, level))):
+            base = SeedRecord(63).derive(role, level)
+            for rep in range(cfg.replicas):
+                jstar, row = walk_end_and_x(cfg, level, base.derive(rep))
+                if row is None:
+                    assert pool[rep] == 0.0
+                    continue
+                d = row[:abs(jstar)]
+                if role == "subcritical":
+                    expected = math.fsum((d * d * d).tolist())
+                else:
+                    x = np.concatenate([[0.0], np.cumsum(d)])
+                    terms = 0.5 * (f1(x[:-1]) + f1(x[1:])) * (x[1:] - x[:-1])
+                    expected = math.fsum(terms.tolist())
+                assert pool[rep] == expected, (role, rep, jstar)
+
+    @staticmethod
+    def _exact_cube_sum_variance(level, hurst):
+        """sum_m P(|j*| = m) sigma^6 v_m over the walk ends of t = 1, with
+        v_m = sum_{|r|<m} (m - |r|)(6 rho(r)^3 + 9 rho(r))."""
+        steps = 2**level
+        r = np.arange(steps)
+        rho = increment_autocovariance(r, hurst)
+        g = 6 * rho**3 + 9 * rho
+        total = 0.0
+        for k in range(steps + 1):
+            m = abs(2 * k - steps)
+            if m:
+                v_m = m * g[0] + 2 * float(np.sum((m - r[1:m]) * g[1:m]))
+                total += math.comb(steps, k) / 2**steps * v_m
+        sigma = 2.0 ** (-level * hurst / 2)
+        return total * sigma**6
+
+    @staticmethod
+    def _within_3_se(vals, exact):
+        # SE of the sample variance from the sample fourth moment
+        c = vals - vals.mean()
+        var = float(c @ c) / (len(c) - 1)
+        se = math.sqrt((float(np.mean(c**4)) - var * var) / len(c))
+        return abs(var - exact) <= 3 * se
+
+    # The replica count comes from a power calculation: the sum's kurtosis
+    # is about 10, so the sample variance has relative SE sqrt(9/N); at
+    # N = 30000 that is 0.017, and a 10 % error in the variance lies
+    # (3 + 2.33) SE away, so it fails the 3 SE band with power 0.99.  The
+    # mutant below moves the variance by 81 %.
+    REPLICAS = 30000
+
+    def test_level_variance_is_the_exact_mixture(self):
+        exact = self._exact_cube_sum_variance(8, 0.1)
+        assert exact == pytest.approx(15.0337, abs=1e-4)
+        cfg = VerifyConfig(hurst=0.1, f=sine(), t=1.0, levels=(8,),
+                           replicas=self.REPLICAS, seed=62)
+        assert self._within_3_se(_cube_sums(cfg, 8), exact)
+
+    def test_rows_scaled_by_the_wrong_power_fail(self, monkeypatch):
+        # mutant: rows scaled by 2^{-nH} instead of 2^{-nH/2}
+        monkeypatch.setattr(calculus_mod, "dyadic_step", lambda level: 2.0**-level)
+        cfg = VerifyConfig(hurst=0.1, f=sine(), t=1.0, levels=(8,),
+                           replicas=self.REPLICAS, seed=62)
+        assert not self._within_3_se(_cube_sums(cfg, 8),
+                                     self._exact_cube_sum_variance(8, 0.1))
 
 
 class TestEvaluateGate:

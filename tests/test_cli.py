@@ -157,6 +157,13 @@ class TestVerifyCommand:
                    "--levels", "8,6", "-o", str(tmp_path / "r.json"))
         assert code == 1
 
+    def test_zero_variance_level_is_usage_error(self, tmp_path, capsys):
+        code = run("verify", "--branch", "subcritical", "--hurst", "0.1",
+                   "--levels", "1,2,3", "--t", "0.3", "-o", str(tmp_path / "r.json"))
+        assert code == 1
+        assert "level 1: every walk ended at 0" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_x_refine_flag_is_gone(self, tmp_path, capsys):
         code = run("verify", "--branch", "supercritical", "--hurst", "0.35",
                    "--x-refine", "16", "-o", str(tmp_path / "r.json"))

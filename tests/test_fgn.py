@@ -9,7 +9,7 @@ from fbmbt.fgn import (BmPath, EmbeddingError, FbmPath, HurstParameter,
                        coarsen, dyadic_step, fbm_covariance, floor_steps,
                        increment_autocovariance, read_path, sample_bm,
                        sample_fbm_rows, sample_fbm_two_sided, sample_fgn,
-                       write_path, write_path_csv, _sample_fgn)
+                       sample_fgn_rows, write_path, write_path_csv, _sample_fgn)
 from fbmbt.streams import KeyedPhilox, SeedRecord
 
 
@@ -341,6 +341,20 @@ class TestBatchedRows:
             path = sample_fbm_two_sided(1 / 6, spacing, half, rec.derive(rep, "fbm"))
             np.testing.assert_array_equal(row, path.values)
 
+    @pytest.mark.parametrize("n_inc", [1, 3, 64])
+    def test_one_sided_rows_match_sample_fgn_across_chunks(self, monkeypatch, n_inc):
+        monkeypatch.setattr(fgn_mod, "_BATCH_BYTES", 72 * n_inc * 3)
+        rec = SeedRecord(57).derive("subcritical", 9)
+        reps = np.arange(10)
+        spacing = dyadic_step(9)
+        chunks = list(sample_fgn_rows(0.1, spacing, n_inc,
+                                      rec.philox_keys(reps, "fbm"), KeyedPhilox()))
+        assert len(chunks) == 4
+        rows = np.vstack([inc for inc, _ in chunks])
+        for rep, row in zip(reps.tolist(), rows):
+            expected = sample_fgn(0.1, spacing, n_inc, rec.derive(rep, "fbm"))
+            assert row.tobytes() == expected.tobytes()
+
     def test_defective_spectrum_falls_back_to_cholesky(self, defective_spectrum):
         rec = SeedRecord(55).derive("subcritical", 8)
         reps = np.arange(3)
@@ -359,6 +373,8 @@ class TestBatchedRows:
         for args in ((0.3, 0.0, 4), (0.3, 0.1, 0), (1.0, 0.1, 4)):
             with pytest.raises(ValueError):
                 next(sample_fbm_rows(*args, keys, KeyedPhilox()))
+            with pytest.raises(ValueError):
+                next(sample_fgn_rows(*args, keys, KeyedPhilox()))
 
 
 class TestOneSidedFgn:
