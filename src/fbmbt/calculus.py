@@ -38,7 +38,7 @@ from .fgn import (ExtentError, FbmPath, HurstParameter, dyadic_step,
                   sample_fbm_two_sided, sample_fgn_rows)
 from .skeleton import killed_position, sample_exit_times
 from .stats import (PerLevelReport, SampleSummary, check_layout,
-                    fit_log2_slope, is_integral, ks_two_sample)
+                    fit_log2_slope, is_integral, ks_two_sample, variance_stderr)
 from .streams import KeyedPhilox, SeedRecord, as_seed_record
 from .variations import SmoothFunction, _cell_sum
 
@@ -434,7 +434,7 @@ def _supercritical_pairs(cfg: VerifyConfig, level: int) -> tuple:
     for half in np.unique(halves).tolist():
         same = np.flatnonzero(halves == half)
         group = iter(same.tolist())
-        for values, _ in sample_fbm_rows(cfg.hurst, a, half, fbm_keys[same], stream):
+        for values in sample_fbm_rows(cfg.hurst, a, half, fbm_keys[same], stream):
             for row in values:
                 rep = next(group)
                 z_t = _z_at(row, a, cfg.hurst, float(y_t[rep]), normals[rep])
@@ -463,7 +463,8 @@ def _walk_end_rows(cfg: VerifyConfig, level: int, role: str) -> Iterator[tuple]:
     level, r)``: j* from "walk", then one-sided fGn at spacing 2^{-n/2} from
     "fbm", as many increments as the least power of two >= |j*|.  Replicas
     with j* = 0 have every cell sum empty and draw nothing.  Rows are drawn
-    in batches of equal length; the sums read the first |j*| entries.
+    in batches of equal length, each overwritten by the next; the sums read
+    the first |j*| entries.
     """
     # Both sums read X only between 0 and j*.  fGn is stationary and
     # s -> X(-s) is again an fBm, so a walk ending at -m gives, on the
@@ -485,7 +486,7 @@ def _walk_end_rows(cfg: VerifyConfig, level: int, role: str) -> Iterator[tuple]:
         same = lengths == n_inc
         reps = drawn[same]
         start = 0
-        for rows, _ in sample_fgn_rows(cfg.hurst, a, n_inc, fbm_keys[same], stream):
+        for rows in sample_fgn_rows(cfg.hurst, a, n_inc, fbm_keys[same], stream):
             batch = reps[start:start + len(rows)]
             yield batch, ends[batch], rows
             start += len(rows)
@@ -511,8 +512,8 @@ def _critical_lhs(cfg: VerifyConfig, level: int) -> np.ndarray:
     width = np.abs(y_t) / LHS_CELLS
     lhs = np.empty(cfg.replicas)
     start = 0
-    for unit, _ in sample_fbm_rows(cfg.hurst, 1.0 / LHS_CELLS, LHS_CELLS // 2,
-                                   rec.philox_keys(reps, "fbm"), stream):
+    for unit in sample_fbm_rows(cfg.hurst, 1.0 / LHS_CELLS, LHS_CELLS // 2,
+                                rec.philox_keys(reps, "fbm"), stream):
         rows = slice(start, start + len(unit))
         x = (unit - unit[:, :1]) * scale[rows, None]
         corr = correction_std(cfg.f, x[:, :-1], width[rows], cfg.kappa3) * normals[rows]
@@ -566,7 +567,7 @@ def _branch_subcritical_level(cfg: VerifyConfig, level: int) -> dict:
         )
     s = SampleSummary.from_samples(vals)
     return {"mean": s.mean, "variance": s.variance,
-            "var_stderr": float(s.variance * math.sqrt(2.0 / (len(vals) - 1)))}
+            "var_stderr": variance_stderr(vals)}
 
 
 def verify_branch(branch: str, config: VerifyConfig) -> VerificationReport:

@@ -14,12 +14,12 @@ alike) form stationary fractional Gaussian noise with autocovariance
 
 Sampling
 --------
-Primary method: Davies-Harte circulant embedding of the increment
-sequence, one-sided (``sample_fgn``) or across the whole two-sided grid
+Davies-Harte circulant embedding of the increment sequence, one-sided
+(``sample_fgn``) or across the whole two-sided grid
 (``sample_fbm_two_sided``), exact whenever the embedding spectrum is
-nonnegative (always the case for fGn in practice).  Fallback for a
-defective spectrum: Cholesky of the exact Toeplitz covariance, restricted
-to desk-scale grids.
+nonnegative.  The minimal embedding of fGn is nonnegative in exact
+arithmetic (Dietrich & Newsam 1997); a spectrum negative beyond roundoff
+raises ``EmbeddingError`` naming (n, H).
 
 References: Davies & Harte (1987); Dieker, "Simulation of fractional
 Brownian motion" (2004).
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -64,19 +63,17 @@ __all__ = [
 CRITICAL_HURST = 1.0 / 6.0
 _CRITICAL_TOL = 1e-12
 
-# Grid size cap for the O(M^3) Cholesky fallback.
-_CHOLESKY_MAX = 4096
-
 # Working-array bytes per chunk of sample_fgn_rows and sample_fbm_rows, at
-# 72 bytes per increment of a row: normals, half-spectrum, irfft output,
-# scaled rows, and the sums and path of a two-sided row.
+# 72 bytes per increment of a row: normals, half-spectrum and irfft output
+# (48, allocated once per call), the sums and path of a two-sided row (16),
+# and irfft's own scratch.
 _BATCH_BYTES = 2**20
 
 FORMAT_VERSION = 1
 
 
 class EmbeddingError(RuntimeError):
-    """Circulant spectrum defective and the exact fallback is infeasible."""
+    """Circulant embedding spectrum negative beyond roundoff."""
 
 
 class ExtentError(ValueError):
@@ -183,8 +180,8 @@ def _embedding_weights(n_inc: int, hvalue: float) -> np.ndarray:
     return weights
 
 
-def _sample_fgn_embedding(rng: np.random.Generator, n_inc: int, hvalue: float,
-                          size: int = 1) -> np.ndarray:
+def _sample_fgn(rng: np.random.Generator, n_inc: int, hvalue: float,
+                size: int = 1) -> np.ndarray:
     """``size`` rows of standardized fGn of length ``n_inc`` (exact law).
 
     Raises EmbeddingError when the spectrum is negative beyond tolerance.
@@ -193,81 +190,53 @@ def _sample_fgn_embedding(rng: np.random.Generator, n_inc: int, hvalue: float,
     # Hermitian half-spectrum draw: W_0, W_n real; interior complex.
     re = rng.standard_normal((size, n_inc + 1))
     im = rng.standard_normal((size, n_inc - 1))
-    return _embed(re, im, weights)
+    return _embed(re, im, weights, np.empty(re.shape, dtype=complex),
+                  np.empty((size, 2 * n_inc)))
 
 
-def _embed(re: np.ndarray, im: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """fGn rows from the normals of their half-spectra, one row per row of re."""
-    size, n_inc = re.shape[0], re.shape[1] - 1
-    w = np.empty((size, n_inc + 1), dtype=complex)
-    np.multiply(re, weights, out=w.real)
-    w.imag[:, 0] = 0.0
-    w.imag[:, n_inc] = 0.0
-    np.multiply(im, weights[1:n_inc], out=w.imag[:, 1:n_inc])
-    fgn = np.fft.irfft(w, n=2 * n_inc, axis=1)[:, :n_inc]
+def _embed(re: np.ndarray, im: np.ndarray, weights: np.ndarray,
+           spectrum: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """fGn rows from the normals of their half-spectra, one row per row of re.
+
+    ``spectrum`` (complex, the shape of ``re``) and ``out`` (rows, 2 n_inc)
+    are overwritten; the result is the view of the first n_inc columns of
+    ``out``.
+    """
+    n_inc = re.shape[1] - 1
+    np.multiply(re, weights, out=spectrum.real)
+    spectrum.imag[:, 0] = 0.0
+    spectrum.imag[:, n_inc] = 0.0
+    np.multiply(im, weights[1:n_inc], out=spectrum.imag[:, 1:n_inc])
+    np.fft.irfft(spectrum, n=2 * n_inc, axis=1, out=out)
+    fgn = out[:, :n_inc]
     fgn *= np.sqrt(2 * n_inc)
     return fgn
 
 
-def _sample_fgn_cholesky(rng: np.random.Generator, n_inc: int, hvalue: float,
-                         size: int = 1) -> np.ndarray:
-    """Exact O(n^2)/O(n^3) fallback via Cholesky of the Toeplitz covariance."""
-    if n_inc > _CHOLESKY_MAX:
-        raise EmbeddingError(
-            f"Cholesky fallback capped at {_CHOLESKY_MAX} increments, "
-            f"requested {n_inc}"
-        )
-    q = np.abs(np.arange(n_inc)[:, None] - np.arange(n_inc)[None, :])
-    cov = increment_autocovariance(q, hvalue)
-    chol = np.linalg.cholesky(cov)
-    z = rng.standard_normal((size, n_inc))
-    return z @ chol.T
-
-
-def _warn_fallback() -> None:
-    warnings.warn(
-        "circulant embedding spectrum defective; falling back to Cholesky",
-        RuntimeWarning,
-        stacklevel=4,
-    )
-
-
-def _sample_fgn(rng: np.random.Generator, n_inc: int, hvalue: float,
-                size: int = 1, method: str = "auto") -> tuple[np.ndarray, str]:
-    if method not in ("auto", "embedding", "cholesky"):
-        raise ValueError(f"unknown sampling method {method!r}")
-    if method == "cholesky":
-        return _sample_fgn_cholesky(rng, n_inc, hvalue, size), "cholesky"
-    try:
-        return _sample_fgn_embedding(rng, n_inc, hvalue, size), "circulant"
-    except EmbeddingError:
-        if method == "embedding":
-            raise
-        _warn_fallback()
-        return _sample_fgn_cholesky(rng, n_inc, hvalue, size), "cholesky"
-
-
 def _sample_fgn_rows(keys: np.ndarray, stream: KeyedPhilox, n_inc: int,
-                     hvalue: float) -> tuple[np.ndarray, str]:
-    """One row of standardized fGn per Philox key, and the method.
+                     hvalue: float) -> Iterator[np.ndarray]:
+    """Standardized fGn, one row per Philox key, in chunks of rows.
 
     Row i is ``_sample_fgn``'s size-1 draw from the generator at ``keys[i]``:
     each row's normals come from its own stream in the same order, and one
-    embedding and ``irfft`` call serve all rows.
+    embedding and ``irfft`` call serve a chunk.  The working arrays are
+    allocated once and every chunk is a view into them, valid until the
+    next chunk is drawn.
     """
-    try:
-        weights = _embedding_weights(n_inc, hvalue)
-    except EmbeddingError:
-        _warn_fallback()
-        return np.vstack([_sample_fgn_cholesky(stream.at(k), n_inc, hvalue)
-                          for k in keys]), "cholesky"
-    re = np.empty((len(keys), n_inc + 1))
-    im = np.empty((len(keys), n_inc - 1))
-    for k, re_row, im_row in zip(keys, re, im):
-        rng = stream.at(k)
-        rng.standard_normal(out=re_row)
-        rng.standard_normal(out=im_row)
-    return _embed(re, im, weights), "circulant"
+    weights = _embedding_weights(n_inc, hvalue)
+    rows = max(1, min(len(keys), _BATCH_BYTES // (72 * n_inc)))
+    re = np.empty((rows, n_inc + 1))
+    im = np.empty((rows, n_inc - 1))
+    spectrum = np.empty(re.shape, dtype=complex)
+    out = np.empty((rows, 2 * n_inc))
+    for start in range(0, len(keys), rows):
+        chunk = keys[start:start + rows]
+        for k, re_row, im_row in zip(chunk, re, im):
+            rng = stream.at(k)
+            rng.standard_normal(out=re_row)
+            rng.standard_normal(out=im_row)
+        m = len(chunk)
+        yield _embed(re[:m], im[:m], weights, spectrum[:m], out[:m])
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +261,7 @@ class FbmPath:
     half_extent: int
     values: np.ndarray
     seed_record: SeedRecord
-    method: str = "circulant"
+    method: str = "circulant"  # the only sampler; old files are read as written
 
     def __post_init__(self):
         object.__setattr__(self, "values", _freeze(self.values))
@@ -342,11 +311,9 @@ def _check_positive_finite(name: str, value: float) -> None:
 
 
 def _scaled_fgn(h: HurstParameter, spacing: float, n_inc: int,
-                record: SeedRecord, method: str) -> tuple[np.ndarray, str]:
-    """fGn increments at ``spacing`` from the record's stream, and the method."""
-    fgn, used = _sample_fgn(record.generator(), n_inc, h.value, size=1,
-                            method=method)
-    return fgn[0] * spacing**h.value, used
+                record: SeedRecord) -> np.ndarray:
+    """fGn increments at ``spacing`` from the record's stream."""
+    return _sample_fgn(record.generator(), n_inc, h.value)[0] * spacing**h.value
 
 
 def sample_fgn(hurst, spacing: float, n_inc: int,
@@ -363,7 +330,7 @@ def sample_fgn(hurst, spacing: float, n_inc: int,
         raise ValueError(f"n_inc must be >= 0, got {n_inc}")
     if n_inc == 0:
         return np.empty(0)
-    return _scaled_fgn(h, spacing, n_inc, as_seed_record(seed), "auto")[0]
+    return _scaled_fgn(h, spacing, n_inc, as_seed_record(seed))
 
 
 def _check_two_sided(hurst, spacing: float, half_extent: int) -> tuple:
@@ -386,7 +353,7 @@ def _two_sided(inc: np.ndarray, half_extent: int) -> np.ndarray:
 
 
 def sample_fbm_two_sided(hurst, spacing: float, half_extent: int,
-                         seed: "int | SeedRecord", method: str = "auto") -> FbmPath:
+                         seed: "int | SeedRecord") -> FbmPath:
     """Exact two-sided fBm path; deterministic given the seed record.
 
     The values are the cumulative sum of ``sample_fgn`` over
@@ -394,45 +361,45 @@ def sample_fbm_two_sided(hurst, spacing: float, half_extent: int,
     """
     h, half_extent = _check_two_sided(hurst, spacing, half_extent)
     record = as_seed_record(seed)
-    inc, used = _scaled_fgn(h, spacing, 2 * half_extent, record, method)
-    values = _two_sided(inc, half_extent)
+    values = _two_sided(_scaled_fgn(h, spacing, 2 * half_extent, record), half_extent)
     return FbmPath(hurst=h, spacing=float(spacing), half_extent=half_extent,
-                   values=values, seed_record=record, method=used)
+                   values=values, seed_record=record)
 
 
 def sample_fbm_rows(hurst, spacing: float, half_extent: int, keys: np.ndarray,
-                    stream: KeyedPhilox) -> Iterator[tuple[np.ndarray, str]]:
+                    stream: KeyedPhilox) -> Iterator[np.ndarray]:
     """Two-sided fBm paths, one per Philox key, in chunks of rows.
 
     Row i equals ``sample_fbm_two_sided(hurst, spacing, half_extent,
     record).values`` for the record whose Philox key is ``keys[i]``
     (``SeedRecord.philox_keys``), bit for bit.  Each chunk's embedding and
     ``irfft`` run in one call, on about ``_BATCH_BYTES`` of working arrays.
-    Yields (values, method) with values of shape (rows, 2 * half_extent + 1).
+    Yields new arrays of shape (rows, 2 * half_extent + 1).
     """
     h, half_extent = _check_two_sided(hurst, spacing, half_extent)
-    for inc, used in sample_fgn_rows(h, spacing, 2 * half_extent, keys, stream):
-        yield _two_sided(inc, half_extent), used
+    for inc in sample_fgn_rows(h, spacing, 2 * half_extent, keys, stream):
+        yield _two_sided(inc, half_extent)
 
 
 def sample_fgn_rows(hurst, spacing: float, n_inc: int, keys: np.ndarray,
-                    stream: KeyedPhilox) -> Iterator[tuple[np.ndarray, str]]:
+                    stream: KeyedPhilox) -> Iterator[np.ndarray]:
     """One-sided fGn rows, one per Philox key, in chunks of rows.
 
     Row i equals ``sample_fgn(hurst, spacing, n_inc, record)`` for the record
     whose Philox key is ``keys[i]``, bit for bit.  Each chunk's embedding and
-    ``irfft`` run in one call, on about ``_BATCH_BYTES`` of working arrays.
-    Yields (increments, method) with increments of shape (rows, n_inc).
+    ``irfft`` run in one call, on about ``_BATCH_BYTES`` of working arrays
+    that the call allocates once: every yielded chunk, of shape (rows,
+    n_inc), is a view into them and is overwritten by the next one.
     """
     h = HurstParameter(_hvalue(hurst))
     _check_positive_finite("spacing", spacing)
     n_inc = int(n_inc)
     if n_inc < 1:
         raise ValueError(f"n_inc must be >= 1, got {n_inc}")
-    rows = max(1, _BATCH_BYTES // (72 * n_inc))
-    for start in range(0, len(keys), rows):
-        fgn, used = _sample_fgn_rows(keys[start:start + rows], stream, n_inc, h.value)
-        yield fgn * spacing**h.value, used
+    scale = spacing**h.value
+    for fgn in _sample_fgn_rows(keys, stream, n_inc, h.value):
+        fgn *= scale
+        yield fgn
 
 
 def sample_bm(horizon: float, spacing: float, seed: "int | SeedRecord") -> BmPath:

@@ -1,7 +1,10 @@
 """Background scaling laws for plain fBm on deterministic dyadic grids.
 
 Both checks draw the ``floor(2^n t)`` increments over [0, t] as one-sided
-fGn (``fgn.sample_fgn``), one substream per (power, level, replica).
+fGn, one substream per (power, level, replica): the rows of a level come
+from ``fgn.sample_fgn_rows`` on the Philox keys of
+``derive("scaling", power, level, replica)``, each bit-equal to
+``fgn.sample_fgn`` on that record.
 
 Quadratic variation: 2^{n(2H-1)} * sum (increment)^2 -> t almost surely.
 Cubic variation (H < 1/2): 2^{n(3H-1/2)} * sum (increment)^3 converges in
@@ -17,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fgn import FbmPath, HurstParameter, floor_steps, sample_fgn, uniform_step
+from .fgn import FbmPath, HurstParameter, floor_steps, sample_fgn_rows, uniform_step
 from .stats import PerLevelReport, check_layout, ks_one_sample_normal
-from .streams import SeedRecord
+from .streams import KeyedPhilox, SeedRecord
 
 __all__ = ["ScalingReport", "power_variation", "check_quadratic", "check_cubic"]
 
@@ -56,12 +59,34 @@ def power_variation(path: FbmPath, power: int, level: int, t: float) -> float:
     return _power_sum(np.diff(path.values[center: center + k + 1]), power)
 
 
-def _power_sum(inc: np.ndarray, power: int) -> float:
-    """sum(inc**power) by repeated multiplication; np.power calls pow per term."""
-    term = inc
-    for _ in range(power - 1):
-        term = term * inc
+def _power_sum(inc: np.ndarray, power: int, term: "np.ndarray | None" = None) -> float:
+    """sum(inc**power) by repeated multiplication, in ``term`` when given;
+    np.power calls pow per term."""
+    if power == 1:
+        return float(np.sum(inc))
+    term = np.multiply(inc, inc, out=term)
+    for _ in range(power - 2):
+        np.multiply(term, inc, out=term)
     return float(np.sum(term))
+
+
+def _level_power_sums(h: HurstParameter, power: int, level: int, t: float,
+                      replicas: int, base: SeedRecord) -> np.ndarray:
+    """Unnormalized power sums over [0, t] at spacing 2^{-level}, one per
+    replica, from the fGn of ``base.derive("scaling", power, level, rep)``;
+    all 0, with nothing drawn, when no whole step fits in [0, t]."""
+    sums = np.zeros(replicas)
+    k = floor_steps(level, t)
+    if k == 0:
+        return sums
+    keys = base.derive("scaling", power, level).philox_keys(range(replicas))
+    term = np.empty(k)
+    rep = 0
+    for rows in sample_fgn_rows(h, uniform_step(level), k, keys, KeyedPhilox()):
+        for row in rows:
+            sums[rep] = _power_sum(row, power, term)
+            rep += 1
+    return sums
 
 
 def check_quadratic(hurst, t: float, levels, replicas: int, seed: int) -> ScalingReport:
@@ -74,14 +99,8 @@ def check_quadratic(hurst, t: float, levels, replicas: int, seed: int) -> Scalin
     per_level = []
     for n in levels:
         norm = 2.0 ** (n * (2.0 * h.value - 1.0))
-        step, k = uniform_step(n), floor_steps(n, t)
-        devs = np.empty(replicas)
-        raw = np.empty(replicas)
-        for rep in range(replicas):
-            inc = sample_fgn(h, step, k, base.derive("scaling", 2, n, rep))
-            pv = _power_sum(inc, 2)
-            raw[rep] = pv
-            devs[rep] = abs(norm * pv - t)
+        raw = _level_power_sums(h, 2, n, t, replicas, base)
+        devs = np.abs(norm * raw - t)
         per_level.append({
             "median_abs_error": float(np.median(devs)),
             "mean_normalized": float(np.mean(norm * raw)),
@@ -110,11 +129,7 @@ def check_cubic(hurst, t: float, levels, replicas: int, seed: int) -> ScalingRep
     samples_per_level = []
     for n in levels:
         norm = 2.0 ** (n * (3.0 * h.value - 0.5))
-        step, k = uniform_step(n), floor_steps(n, t)
-        vals = np.empty(replicas)
-        for rep in range(replicas):
-            inc = sample_fgn(h, step, k, base.derive("scaling", 3, n, rep))
-            vals[rep] = norm * _power_sum(inc, 3)
+        vals = norm * _level_power_sums(h, 3, n, t, replicas, base)
         samples_per_level.append(vals)
         stats_per_level.append({"mean": float(vals.mean()),
                                 "variance": float(vals.var(ddof=1))})

@@ -28,6 +28,7 @@ __all__ = [
     "ks_two_sample",
     "ks_one_sample_normal",
     "fit_log2_slope",
+    "variance_stderr",
 ]
 
 
@@ -143,6 +144,22 @@ def ks_one_sample_normal(samples, mean: float = 0.0, std: float = 1.0) -> KsResu
     d = float(max(np.max(ecdf_hi - cdf), np.max(cdf - ecdf_lo)))
     en = math.sqrt(n)
     return KsResult(statistic=d, p_value=_stephens_pvalue(d, en), sizes=(n,))
+
+
+def variance_stderr(samples) -> float:
+    """Standard error of the sample variance from the sample fourth moment.
+
+    sqrt((m4 - s^4) / N), with m4 the mean fourth power of the deviations
+    from the mean and s^2 the unbiased variance.  It assumes no normality:
+    for a Gaussian sample it is about s^2 sqrt(2 / N), and heavier tails
+    make it larger.
+    """
+    x = np.asarray(samples, dtype=float)
+    if x.size < 2:
+        raise ValueError("need at least 2 samples")
+    c = x - x.mean()
+    var = float(c @ c) / (x.size - 1)
+    return math.sqrt(max(float(np.mean(c**4)) - var * var, 0.0) / x.size)
 
 
 def fit_log2_slope(points) -> tuple:

@@ -277,7 +277,7 @@ class TestAcceptance:
             j = np.arange(k_max)
             acc = np.zeros(len(pairs))
             keys = rec.philox_keys(np.arange(replicas))
-            for v, _ in sample_fbm_rows(hurst, a, half, keys, KeyedPhilox()):
+            for v in sample_fbm_rows(hurst, a, half, keys, KeyedPhilox()):
                 c = half
                 prefix = {}
                 for sign in (1, -1):
@@ -364,8 +364,8 @@ class TestAcceptance:
                     sums = np.empty(len(reps))
                     for half in np.unique(halves).tolist():
                         same = iter(np.flatnonzero(halves == half).tolist())
-                        for v, _ in sample_fbm_rows(hurst, a, half,
-                                                    fbm_keys[halves == half], stream):
+                        for v in sample_fbm_rows(hurst, a, half,
+                                                 fbm_keys[halves == half], stream):
                             inc14 = np.abs(np.diff(v, axis=1)) ** 14
                             for row in inc14:
                                 i = next(same)

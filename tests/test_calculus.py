@@ -20,6 +20,7 @@ from fbmbt.calculus import (KAPPA3, LHS_CELLS, VerificationReport, VerifyConfig,
 from fbmbt.fgn import increment_autocovariance, sample_fbm_two_sided
 from fbmbt.scaling import power_variation
 from fbmbt.skeleton import crossing_counts
+from fbmbt.stats import variance_stderr
 from fbmbt.streams import SeedRecord
 from fbmbt.variations import function_by_name, polynomial, sine
 from replica_draw import critical_lhs, supercritical_pair, walk_end_and_x
@@ -469,8 +470,7 @@ class TestWalkEndDraw:
         # SE of the sample variance from the sample fourth moment
         c = vals - vals.mean()
         var = float(c @ c) / (len(c) - 1)
-        se = math.sqrt((float(np.mean(c**4)) - var * var) / len(c))
-        return abs(var - exact) <= 3 * se
+        return abs(var - exact) <= 3 * variance_stderr(vals)
 
     # The replica count comes from a power calculation: the sum's kurtosis
     # is about 10, so the sample variance has relative SE sqrt(9/N); at

@@ -46,7 +46,7 @@ def _old_lhs(cfg, seed):
     for size in np.unique(half):
         group = np.flatnonzero(half == size)
         start = 0
-        for rows, _ in sample_fbm_rows(cfg.hurst, h, int(size), fbm_keys[group], stream):
+        for rows in sample_fbm_rows(cfg.hurst, h, int(size), fbm_keys[group], stream):
             for r, row in zip(group[start:start + len(rows)], rows):
                 x = row - row[0]
                 dw = math.sqrt(h) * stream.at(wiener_keys[r]).standard_normal(count[r])

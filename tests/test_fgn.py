@@ -191,7 +191,7 @@ class TestFbmSampler:
         # H = 1/2: increments i.i.d.; empirical covariance vs identity, 3 SE
         reps, dim = 100_000, 8
         rng = SeedRecord(11).generator()
-        fgn, _ = _sample_fgn(rng, dim, 0.5, size=reps)
+        fgn = _sample_fgn(rng, dim, 0.5, size=reps)
         emp = (fgn.T @ fgn) / reps
         se = np.sqrt((1.0 + np.eye(dim)) / reps)
         assert np.all(np.abs(emp - np.eye(dim)) <= 3.2 * se + 1e-12)
@@ -201,7 +201,7 @@ class TestFbmSampler:
         # full two-sided value covariance vs C_H on a small grid, 4 SE
         half, spacing, reps = 8, 0.25, 120_000
         rng = SeedRecord(12).generator()
-        fgn, _ = _sample_fgn(rng, 2 * half, h, size=reps)
+        fgn = _sample_fgn(rng, 2 * half, h, size=reps)
         inc = fgn * spacing**h
         cs = np.concatenate([np.zeros((reps, 1)), np.cumsum(inc, axis=1)], axis=1)
         values = cs - cs[:, half:half + 1]
@@ -222,36 +222,12 @@ class TestFbmSampler:
         done = 0
         while done < reps:
             chunk = min(1000, reps - done)
-            fgn, _ = _sample_fgn(rng, 2 * half, h, size=chunk)
+            fgn = _sample_fgn(rng, 2 * half, h, size=chunk)
             inc = fgn[:, half:half + idx] * spacing**h
             vals[done:done + chunk] = np.sum(inc, axis=1)
             done += chunk
         var = vals.var(ddof=1)
         assert abs(var - 1.0) <= 3 * np.sqrt(2.0 / reps)
-
-    def test_cholesky_agrees_with_embedding(self):
-        # same exact law from both methods: moment check on a small grid
-        reps, half, h = 30_000, 4, 0.3
-        r1 = SeedRecord(14).generator()
-        r2 = SeedRecord(15).generator()
-        f1, _ = _sample_fgn(r1, 2 * half, h, size=reps)
-        f2 = np.vstack([
-            _sample_fgn(r2, 2 * half, h, size=reps, method="cholesky")[0]
-        ])
-        c1 = (f1.T @ f1) / reps
-        c2 = (f2.T @ f2) / reps
-        se = np.sqrt(2.0 / reps)
-        assert np.all(np.abs(c1 - c2) <= 4.5 * se)
-
-    def test_cholesky_cap(self):
-        rng = SeedRecord(16).generator()
-        with pytest.raises(EmbeddingError):
-            _sample_fgn(rng, 2**13, 0.3, method="cholesky")
-
-    def test_fallback_on_defective_spectrum(self, defective_spectrum):
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            p = sample_fbm_two_sided(0.3, 0.1, 8, seed=5)
-        assert p.method == "cholesky"
 
     def test_coarsen_restricts_same_realization(self):
         p = sample_fbm_two_sided(0.4, 0.125, 64, seed=21)
@@ -277,25 +253,27 @@ class TestEmbeddingKernel:
     def test_rows_match_uncached_kernel(self, n_inc, h):
         for size in (1, 3):
             seed = SeedRecord(40).derive("fbm", n_inc, size)
-            new = fgn_mod._sample_fgn_embedding(seed.generator(), n_inc, h, size)
+            new = _sample_fgn(seed.generator(), n_inc, h, size)
             old = _old_sample_fgn_embedding(seed.generator(), n_inc, h, size)
             assert new.shape == (size, n_inc)
             np.testing.assert_array_equal(new, old)
 
     def test_defective_spectrum_raises(self, defective_spectrum):
+        # every sampler has the one embedding path, and the error names (n, H)
         rng = SeedRecord(41).generator()
+        keys = SeedRecord(41).philox_keys(np.arange(3))
         for n_inc in (8, 16):
-            with pytest.raises(EmbeddingError, match="eigenvalue"):
-                fgn_mod._sample_fgn_embedding(rng, n_inc, 0.3)
-            with pytest.raises(EmbeddingError):
-                _sample_fgn(rng, n_inc, 0.3, method="embedding")
-
-    def test_auto_falls_back_to_cholesky(self, defective_spectrum):
-        rng = SeedRecord(42).generator()
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            fgn, used = _sample_fgn(rng, 16, 0.3, size=2)
-        assert used == "cholesky"
-        assert fgn.shape == (2, 16)
+            match = rf"eigenvalue .* n={n_inc}, H=0\.3;"
+            with pytest.raises(EmbeddingError, match=match):
+                _sample_fgn(rng, n_inc, 0.3)
+            with pytest.raises(EmbeddingError, match=match):
+                sample_fgn(0.3, 0.1, n_inc, seed=5)
+            with pytest.raises(EmbeddingError, match=match):
+                sample_fbm_two_sided(0.3, 0.1, n_inc // 2, seed=5)
+            with pytest.raises(EmbeddingError, match=match):
+                next(sample_fgn_rows(0.3, 0.1, n_inc, keys, KeyedPhilox()))
+            with pytest.raises(EmbeddingError, match=match):
+                next(sample_fbm_rows(0.3, 0.1, n_inc // 2, keys, KeyedPhilox()))
 
     def test_cached_weights_are_read_only(self):
         weights = fgn_mod._embedding_weights(64, 0.3)
@@ -313,12 +291,11 @@ class TestBatchedRows:
     def test_rows_match_size_one_draws(self, n_inc, h):
         rec = SeedRecord(53).derive("fbm", n_inc)
         reps = np.array([0, 3, 9, 2**32 - 1])
-        rows, used = fgn_mod._sample_fgn_rows(rec.philox_keys(reps), KeyedPhilox(),
-                                              n_inc, h)
-        assert used == "circulant" and rows.shape == (len(reps), n_inc)
+        (rows,) = fgn_mod._sample_fgn_rows(rec.philox_keys(reps), KeyedPhilox(),
+                                           n_inc, h)
+        assert rows.shape == (len(reps), n_inc)
         for rep, row in zip(reps.tolist(), rows):
-            single = fgn_mod._sample_fgn_embedding(rec.derive(rep).generator(),
-                                                   n_inc, h, 1)
+            single = _sample_fgn(rec.derive(rep).generator(), n_inc, h, 1)
             np.testing.assert_array_equal(row, single[0])
 
     @pytest.mark.parametrize("batch_bytes, half", [
@@ -335,7 +312,7 @@ class TestBatchedRows:
         chunks = list(sample_fbm_rows(1 / 6, spacing, half,
                                       rec.philox_keys(reps, "fbm"), KeyedPhilox()))
         assert len(chunks) > 1
-        rows = np.vstack([values for values, _ in chunks])
+        rows = np.vstack(chunks)
         assert rows.shape == (len(reps), 2 * half + 1)
         for rep, row in zip(reps.tolist(), rows):
             path = sample_fbm_two_sided(1 / 6, spacing, half, rec.derive(rep, "fbm"))
@@ -347,26 +324,27 @@ class TestBatchedRows:
         rec = SeedRecord(57).derive("subcritical", 9)
         reps = np.arange(10)
         spacing = dyadic_step(9)
-        chunks = list(sample_fgn_rows(0.1, spacing, n_inc,
-                                      rec.philox_keys(reps, "fbm"), KeyedPhilox()))
+        chunks = [inc.copy() for inc in sample_fgn_rows(
+            0.1, spacing, n_inc, rec.philox_keys(reps, "fbm"), KeyedPhilox())]
         assert len(chunks) == 4
-        rows = np.vstack([inc for inc, _ in chunks])
+        rows = np.vstack(chunks)
         for rep, row in zip(reps.tolist(), rows):
             expected = sample_fgn(0.1, spacing, n_inc, rec.derive(rep, "fbm"))
             assert row.tobytes() == expected.tobytes()
 
-    def test_defective_spectrum_falls_back_to_cholesky(self, defective_spectrum):
-        rec = SeedRecord(55).derive("subcritical", 8)
-        reps = np.arange(3)
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            chunks = list(sample_fbm_rows(0.3, 0.1, 8, rec.philox_keys(reps, "fbm"),
-                                          KeyedPhilox()))
-        assert [used for _, used in chunks] == ["cholesky"]
-        for rep, row in zip(reps.tolist(), chunks[0][0]):
-            with pytest.warns(RuntimeWarning, match="falling back"):
-                path = sample_fbm_two_sided(0.3, 0.1, 8, rec.derive(rep, "fbm"))
-            assert path.method == "cholesky"
-            np.testing.assert_array_equal(row, path.values)
+    @pytest.mark.parametrize("n_inc, rows", [(64, 3), (2**14, 1)])
+    def test_chunks_reuse_one_workspace(self, monkeypatch, n_inc, rows):
+        # one call allocates its working arrays once: every chunk is the
+        # same buffer (a full chunk and the short last one alike), each
+        # overwritten by the next
+        monkeypatch.setattr(fgn_mod, "_BATCH_BYTES", 72 * n_inc * rows)
+        keys = SeedRecord(55).derive("scaling", 3, 9).philox_keys(np.arange(3 * rows + 1))
+        pointers, firsts = set(), []
+        for chunk in sample_fgn_rows(1 / 6, 2.0**-9, n_inc, keys, KeyedPhilox()):
+            pointers.add(chunk.__array_interface__["data"][0])
+            firsts.append(chunk[0].copy())
+        assert len(firsts) == 4 and len(pointers) == 1
+        assert not np.array_equal(firsts[0], firsts[1])
 
     def test_rejects_bad_arguments(self):
         keys = SeedRecord(56).philox_keys(np.arange(2))

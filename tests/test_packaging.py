@@ -23,6 +23,18 @@ def test_every_dependency_is_imported():
             f"{requirement!r} is declared but src/fbmbt never imports {module}"
 
 
+def test_numpy_floor_has_fft_out():
+    # fgn._embed writes irfft into a reused array through ``out=``, which
+    # numpy.fft takes from numpy 2.0 on
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    (numpy_req,) = [r for r in project["dependencies"]
+                    if _distribution_module(r) == "numpy"]
+    floor = re.search(r">=\s*(\d+)\.(\d+)", numpy_req)
+    assert floor and (int(floor[1]), int(floor[2])) >= (2, 0), numpy_req
+    fgn_source = (ROOT / "src" / "fbmbt" / "fgn.py").read_text()
+    assert re.search(r"np\.fft\.irfft\([^)]*\bout=", fgn_source)
+
+
 def _distribution_module(requirement):
     return re.match(r"[A-Za-z0-9_.-]+", requirement).group(0).lower().replace("-", "_")
 

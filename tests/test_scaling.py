@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import fbmbt.fgn as fgn_mod
+import fbmbt.scaling as scaling_mod
 from fbmbt.fgn import (FbmPath, HurstParameter, floor_steps, sample_fbm_two_sided,
                        sample_fgn, uniform_step)
 from fbmbt.scaling import check_cubic, check_quadratic, power_variation
@@ -81,6 +83,62 @@ class TestCheckQuadratic:
             assert row["mean_unnormalized"] == 0.0
             assert row["median_abs_error"] == 0.1
         assert report.per_level[2]["mean_unnormalized"] > 0.0
+
+
+@pytest.fixture
+def drawn_rows(monkeypatch):
+    """Copies of every fGn row the scaling checks draw, as (n_inc, row)."""
+    rows = []
+    draw = scaling_mod.sample_fgn_rows
+
+    def recording(hurst, spacing, n_inc, keys, stream):
+        for chunk in draw(hurst, spacing, n_inc, keys, stream):
+            rows.extend((n_inc, row.copy()) for row in chunk)
+            yield chunk
+
+    monkeypatch.setattr(scaling_mod, "sample_fgn_rows", recording)
+    return rows
+
+
+class TestKeyedRows:
+    """The checks draw a level's rows on Philox keys, in chunks of one
+    reused workspace; each row is the per-record draw, bit for bit."""
+
+    # levels 5 and 7 put every replica of a level in one chunk, level 14
+    # one replica per chunk
+    @pytest.mark.parametrize("levels, t, one_row_per_chunk", [
+        ([5, 7], 0.6, False),
+        ([14], 1.0, True),
+    ])
+    def test_rows_match_sample_fgn(self, drawn_rows, levels, t, one_row_per_chunk):
+        h, replicas, seed = 1 / 6, 5, 71
+        for n in levels:
+            rows = max(1, fgn_mod._BATCH_BYTES // (72 * floor_steps(n, t)))
+            assert rows == 1 if one_row_per_chunk else rows >= replicas
+        base = SeedRecord(seed)
+        for power, check in ((2, check_quadratic), (3, check_cubic)):
+            drawn_rows.clear()
+            check(h, t, levels, replicas, seed)
+            assert len(drawn_rows) == len(levels) * replicas
+            for i, (k, row) in enumerate(drawn_rows):
+                n, rep = levels[i // replicas], i % replicas
+                assert k == floor_steps(n, t)
+                expected = sample_fgn(h, 2.0**-n, k, base.derive("scaling", power, n, rep))
+                assert row.tobytes() == expected.tobytes(), (power, n, rep)
+
+    def test_zero_step_levels_draw_nothing(self, drawn_rows):
+        # floor(2^n 0.1) = 0 at levels 1 and 2, 1 at level 4
+        report = check_quadratic(0.3, 0.1, [1, 2, 4], 5, seed=0)
+        assert [row["mean_unnormalized"] for row in report.per_level[:2]] == [0.0, 0.0]
+        assert {k for k, _ in drawn_rows} == {1} and len(drawn_rows) == 5
+        drawn_rows.clear()
+        report = check_cubic(1 / 6, 0.1, [1, 4], 5, seed=0)
+        assert report.per_level[0]["mean"] == report.per_level[0]["variance"] == 0.0
+        assert {k for k, _ in drawn_rows} == {1} and len(drawn_rows) == 5
+        drawn_rows.clear()
+        with pytest.raises(ValueError, match="top level 2"):
+            check_cubic(1 / 6, 0.1, [1, 2], 5, seed=0)
+        assert drawn_rows == []
 
 
 class TestLayoutValidation:

@@ -10,7 +10,7 @@ from scipy.special import ndtri
 
 from fbmbt.stats import (KsResult, SampleSummary, _normal_cdf, _stephens_pvalue,
                          fit_log2_slope, kolmogorov_sf, ks_one_sample_normal,
-                         ks_two_sample)
+                         ks_two_sample, variance_stderr)
 
 
 class TestKsTwoSample:
@@ -182,6 +182,29 @@ class TestFitLog2Slope:
             fit_log2_slope([(1, 1.0, 0.1), (2, -2.0, 0.1), (3, 4.0, 0.1)])
         with pytest.raises(ValueError, match="triples"):
             fit_log2_slope([(1, 1.0), (2, 2.0), (3, 4.0)])
+
+
+class TestVarianceStderr:
+    def test_exact_small_sample(self):
+        # deviations (-1, -1, -1, 3): s^2 = 12 / 3 = 4, m4 = 84 / 4 = 21
+        assert variance_stderr([0.0, 0.0, 0.0, 4.0]) == pytest.approx(math.sqrt(5) / 2,
+                                                                      rel=1e-15)
+
+    def test_gaussian_sample_matches_the_normal_formula(self):
+        x = np.random.default_rng(5).standard_normal(100_000)
+        gaussian = x.var(ddof=1) * math.sqrt(2.0 / (len(x) - 1))
+        assert variance_stderr(x) == pytest.approx(gaussian, rel=0.05)
+
+    def test_heavy_tails_widen_it(self):
+        # cubes of normals have kurtosis 10395 / 225 = 46.2, so the SE is
+        # sqrt(45.2 / 2) = 4.75 times the normal formula's
+        x = np.random.default_rng(6).standard_normal(100_000) ** 3
+        gaussian = x.var(ddof=1) * math.sqrt(2.0 / (len(x) - 1))
+        assert variance_stderr(x) > 3 * gaussian
+
+    def test_needs_two_samples(self):
+        with pytest.raises(ValueError):
+            variance_stderr([1.0])
 
 
 class TestSampleSummary:
