@@ -106,8 +106,13 @@ class JointSample:
         return len(self.walk) - 1
 
 
-def _pow2_at_least(x: float) -> int:
-    return 1 << max(0, int(math.ceil(math.log2(max(x, 1.0)))))
+def _pow2_at_least(x):
+    """The least power of two >= max(x, 1), exactly, for a number or
+    elementwise for an array (as int64)."""
+    # max(x, 1) = m 2^e with m in [0.5, 1): ceil(2m) is 1 when it is a power
+    # of two and 2 otherwise (ceil(log2(x)) is k just above 2^k, k >= 4)
+    m, e = np.frexp(np.maximum(x, 1.0))
+    return np.ldexp(np.ceil(2 * m), e - 1).astype(np.int64)
 
 
 @lru_cache(maxsize=8)
@@ -475,11 +480,10 @@ def _walk_end_rows(cfg: VerifyConfig, level: int, role: str) -> Iterator[tuple]:
     rec = SeedRecord(cfg.seed).derive(role, level)
     stream = KeyedPhilox()
     walk_keys = rec.philox_keys(np.arange(cfg.replicas), "walk")
-    ends = np.array([abs(2 * int(stream.at(k).binomial(steps, 0.5)) - steps)
-                     for k in walk_keys], dtype=np.int64)
+    ups = (stream.at(k).binomial(steps, 0.5) for k in walk_keys)
+    ends = np.abs(2 * np.fromiter(ups, np.int64, len(walk_keys)) - steps)
     drawn = np.flatnonzero(ends)
-    lengths = np.array([_pow2_at_least(m) for m in ends[drawn].tolist()],
-                       dtype=np.int64)
+    lengths = _pow2_at_least(ends[drawn])
     fbm_keys = rec.philox_keys(drawn, "fbm")
     a = dyadic_step(level)
     for n_inc in np.unique(lengths).tolist():

@@ -225,16 +225,16 @@ def _sample_fgn_rows(keys: np.ndarray, stream: KeyedPhilox, n_inc: int,
     """
     weights = _embedding_weights(n_inc, hvalue)
     rows = max(1, min(len(keys), _BATCH_BYTES // (72 * n_inc)))
-    re = np.empty((rows, n_inc + 1))
-    im = np.empty((rows, n_inc - 1))
+    # a row's 2 n_inc normals in one fill: the ziggurat keeps nothing
+    # between calls, so re then im come out as two calls would draw them
+    normals = np.empty((rows, 2 * n_inc))
+    re, im = normals[:, :n_inc + 1], normals[:, n_inc + 1:]
     spectrum = np.empty(re.shape, dtype=complex)
     out = np.empty((rows, 2 * n_inc))
     for start in range(0, len(keys), rows):
         chunk = keys[start:start + rows]
-        for k, re_row, im_row in zip(chunk, re, im):
-            rng = stream.at(k)
-            rng.standard_normal(out=re_row)
-            rng.standard_normal(out=im_row)
+        for k, row in zip(chunk, normals):
+            stream.at(k).standard_normal(out=row)
         m = len(chunk)
         yield _embed(re[:m], im[:m], weights, spectrum[:m], out[:m])
 

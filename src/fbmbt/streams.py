@@ -193,17 +193,20 @@ class KeyedPhilox:
     def __init__(self):
         self._bits = np.random.Philox(0)
         self._generator = np.random.Generator(self._bits)
+        # Python ints: Philox's state setter reads the words one at a time,
+        # and NumPy scalars made each switch cost about twice as much
+        # (notes/decisions.md)
         self._state = {
             "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, np.uint64), "key": None},
-            "buffer": np.zeros(4, np.uint64),
+            "state": {"counter": [0, 0, 0, 0], "key": None},
+            "buffer": [0, 0, 0, 0],
             "buffer_pos": 4,  # = buffer size: nothing buffered
             "has_uint32": 0,
             "uinteger": 0,
         }
 
     def at(self, key: np.ndarray) -> np.random.Generator:
-        self._state["state"]["key"] = key
+        self._state["state"]["key"] = key.tolist()
         self._bits.state = self._state
         return self._generator
 

@@ -13,7 +13,7 @@ import fbmbt.fgn as fgn_mod
 from fbmbt.calculus import (KAPPA3, LHS_CELLS, VerificationReport, VerifyConfig,
                             _branch_critical_level, _branch_subcritical_level,
                             _critical_lhs, _critical_rhs, _cube_sums,
-                            _skeletal_z_values,
+                            _pow2_at_least, _skeletal_z_values,
                             _supercritical_pairs, _walk_end_rows,
                             correction_std, evaluate_gate, ito_residual,
                             sample_joint, taylor_coefficients, verify_branch)
@@ -21,7 +21,7 @@ from fbmbt.fgn import increment_autocovariance, sample_fbm_two_sided
 from fbmbt.scaling import power_variation
 from fbmbt.skeleton import crossing_counts
 from fbmbt.stats import variance_stderr
-from fbmbt.streams import SeedRecord
+from fbmbt.streams import KeyedPhilox, SeedRecord
 from fbmbt.variations import function_by_name, polynomial, sine
 from replica_draw import critical_lhs, supercritical_pair, walk_end_and_x
 
@@ -424,6 +424,34 @@ class TestWalkEndDraw:
         if branch == "critical":  # the left-hand side draws its unit rows
             assert {n for k, n in requested if k not in replica_of} == {LHS_CELLS}
 
+    @pytest.mark.parametrize("role, hurst", [("subcritical", 0.1),
+                                             ("critical-rhs", 1 / 6)])
+    def test_one_key_switch_per_stream(self, monkeypatch, role, hurst):
+        # each replica's "walk" stream and each drawn replica's "fbm" stream
+        # is keyed once, however many chunks and normal fills the rows take
+        level = 9
+        monkeypatch.setattr(fgn_mod, "_BATCH_BYTES", 72 * 2**level // 4)
+        switches = []
+        at = KeyedPhilox.at
+
+        def counting(self, key):
+            switches.append(key)
+            return at(self, key)
+
+        monkeypatch.setattr(KeyedPhilox, "at", counting)
+        cfg = VerifyConfig(hurst=hurst, f=sine(), t=1.0, levels=(level,),
+                           replicas=300, seed=64)
+        base = SeedRecord(64).derive(role, level)
+        steps = 2**level
+        drawn = sum(2 * base.derive(rep, "walk").generator().binomial(steps, 0.5) != steps
+                    for rep in range(cfg.replicas))
+        chunks = sum(1 for _ in _walk_end_rows(cfg, level, role))
+        assert 0 < drawn < cfg.replicas and chunks > 10
+        switches.clear()
+        reduce = _cube_sums if role == "subcritical" else _critical_rhs
+        reduce(cfg, level)
+        assert len(switches) == cfg.replicas + drawn
+
     @pytest.mark.parametrize("level, t", [(3, 0.9), (4, 1.0), (9, 0.7)])
     def test_sums_match_the_per_replica_sums(self, level, t):
         # the sums of a walk ending at -m are the +m sums on the mirrored
@@ -493,6 +521,38 @@ class TestWalkEndDraw:
                            replicas=self.REPLICAS, seed=62)
         assert not self._within_3_se(_cube_sums(cfg, 8),
                                      self._exact_cube_sum_variance(8, 0.1))
+
+
+class TestPow2AtLeast:
+    """The least power of two >= max(x, 1), exactly."""
+
+    @staticmethod
+    def _reference(x):
+        n = 1
+        while n < x:  # exact: powers of two are floats
+            n *= 2
+        return n
+
+    def test_integers_up_to_2_20(self):
+        m = np.arange(1, 2**20 + 1, dtype=np.int64)
+        expected = np.array([1 << (k - 1).bit_length() for k in m.tolist()])
+        got = _pow2_at_least(m)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("k", range(51))
+    def test_next_to_powers_of_two(self, k):
+        p = 2.0**k
+        # just above 2^k, ceil(log2(x)) rounds to k for every k >= 4
+        for x in (math.nextafter(p, -math.inf), p, math.nextafter(p, math.inf)):
+            assert _pow2_at_least(x) == self._reference(x), x
+
+    def test_at_most_one(self):
+        for x in (0.0, 1e-300, 0.5, 1.0, -3.0):
+            assert _pow2_at_least(x) == 1
+        np.testing.assert_array_equal(_pow2_at_least(np.array([0, 1, 2, 3])),
+                                      [1, 1, 2, 4])
+        assert _pow2_at_least(np.array([], dtype=np.int64)).shape == (0,)
 
 
 class TestEvaluateGate:

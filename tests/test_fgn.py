@@ -318,7 +318,7 @@ class TestBatchedRows:
             path = sample_fbm_two_sided(1 / 6, spacing, half, rec.derive(rep, "fbm"))
             np.testing.assert_array_equal(row, path.values)
 
-    @pytest.mark.parametrize("n_inc", [1, 3, 64])
+    @pytest.mark.parametrize("n_inc", [1, 2, 3, 64])
     def test_one_sided_rows_match_sample_fgn_across_chunks(self, monkeypatch, n_inc):
         monkeypatch.setattr(fgn_mod, "_BATCH_BYTES", 72 * n_inc * 3)
         rec = SeedRecord(57).derive("subcritical", 9)

@@ -61,6 +61,32 @@ class TestKeyedPhilox:
                 np.testing.assert_array_equal(draw(stream.at(key)),
                                               draw(record.generator()))
 
+    def test_every_row_of_philox_keys(self):
+        rec = SeedRecord(2**70).derive("critical-rhs", 12)
+        reps = np.arange(64)
+        stream = KeyedPhilox()
+        for rep, key in zip(reps.tolist(), rec.philox_keys(reps, "fbm")):
+            np.testing.assert_array_equal(stream.at(key).standard_normal(3),
+                                          rec.derive(rep, "fbm").generator().standard_normal(3))
+
+    def test_keys_with_words_of_2_63_and_above(self):
+        # both words >= 2^63, where a signed 64-bit conversion would overflow
+        rec = SeedRecord(202).derive("subcritical", 14)
+        reps = np.arange(64)
+        keys = rec.philox_keys(reps, "walk")
+        high = np.flatnonzero((keys >= 2**63).all(axis=1))
+        assert len(high) >= 4
+        stream = KeyedPhilox()
+        for rep in high.tolist():
+            np.testing.assert_array_equal(
+                stream.at(keys[rep]).binomial(2**14, 0.5, size=3),
+                rec.derive(rep, "walk").generator().binomial(2**14, 0.5, size=3))
+        for key in ([2**64 - 1, 2**63], [2**63, 2**64 - 1], [2**64 - 1, 2**64 - 1]):
+            fresh = np.random.Generator(np.random.Philox(key=key))
+            np.testing.assert_array_equal(
+                stream.at(np.array(key, np.uint64)).integers(0, 2**63, size=5),
+                fresh.integers(0, 2**63, size=5))
+
     def test_rekeying_restarts_a_used_generator(self):
         # half-used 32-bit buffers and a moved counter do not leak into the
         # next key's stream
@@ -76,3 +102,9 @@ class TestKeyedPhilox:
         np.testing.assert_array_equal(mixed.standard_normal(5), fresh.standard_normal(5))
         np.testing.assert_array_equal(stream.at(key1).standard_normal(4),
                                       first.generator().standard_normal(4))
+        stream.at(key2).integers(0, 2, size=1, dtype=np.uint32)
+        high = [2**64 - 1, 2**63]
+        np.testing.assert_array_equal(
+            stream.at(np.array(high, np.uint64)).integers(0, 5, size=7, dtype=np.uint32),
+            np.random.Generator(np.random.Philox(key=high)).integers(0, 5, size=7,
+                                                                     dtype=np.uint32))
