@@ -46,7 +46,7 @@ def test_keys_reject_out_of_range_indices():
 class TestKeyedPhilox:
     def _pairs(self):
         rec = SeedRecord(202).derive("subcritical", 8)
-        reps = np.array([0, 1, 4999, 2**32 - 1])
+        reps = np.concatenate([np.arange(64), [4999, 2**32 - 1]])
         return [(rec.derive(int(r), "walk"), key)
                 for r, key in zip(reps, rec.philox_keys(reps, "walk"))]
 
@@ -60,14 +60,6 @@ class TestKeyedPhilox:
                          lambda g: g.random(5)):
                 np.testing.assert_array_equal(draw(stream.at(key)),
                                               draw(record.generator()))
-
-    def test_every_row_of_philox_keys(self):
-        rec = SeedRecord(2**70).derive("critical-rhs", 12)
-        reps = np.arange(64)
-        stream = KeyedPhilox()
-        for rep, key in zip(reps.tolist(), rec.philox_keys(reps, "fbm")):
-            np.testing.assert_array_equal(stream.at(key).standard_normal(3),
-                                          rec.derive(rep, "fbm").generator().standard_normal(3))
 
     def test_keys_with_words_of_2_63_and_above(self):
         # both words >= 2^63, where a signed 64-bit conversion would overflow
