@@ -35,7 +35,7 @@ import numpy as np
 
 from .fgn import (ExtentError, FbmPath, HurstParameter, dyadic_step,
                   floor_steps, increment_autocovariance, sample_fbm_rows,
-                  sample_fbm_two_sided, sample_fgn_rows)
+                  sample_fgn_rows)
 from .skeleton import killed_position, sample_exit_times
 from .stats import (PerLevelReport, SampleSummary, check_layout,
                     fit_log2_slope, is_integral, ks_two_sample, variance_stderr)
@@ -198,19 +198,21 @@ def _clock_draw(clock: np.random.Generator, level: int, t: float) -> tuple:
 def sample_joint(hurst, level: int, t: float, seed: "int | SeedRecord") -> JointSample:
     """Draw the level-n walk of Y up to N = floor(2^n t), Y_t, X and Z_t = X(Y_t).
 
-    The walk and Y_t come from the record's "bm" stream (``_clock_draw``),
-    X on the level's grid from "fbm", and Z_t from its exact law given that
-    grid with one normal from ("fbm", 1).
+    ``_supercritical_pairs``'s draw of one replica: the walk and Y_t from the
+    record's "bm" stream (``_clock_draw``), X on the level's grid from "fbm",
+    and Z_t from its exact law given that grid with a normal from ("fbm", 1).
     """
     record = as_seed_record(seed)
     h = HurstParameter(float(hurst) if not isinstance(hurst, HurstParameter) else hurst.value)
     a = dyadic_step(level)
-    walk, y_t, half = _clock_draw(record.derive("bm").generator(), level, t)
-    x = sample_fbm_two_sided(h, a, half, record.derive("fbm"))
-    normal = float(record.derive("fbm", 1).generator().standard_normal())
-    z_t = _z_at(x.values, a, h.value, y_t, normal)
+    stream = KeyedPhilox()
+    walk, y_t, half = _clock_draw(stream.at(record.derive("bm").philox_key()[0]), level, t)
+    normal = float(stream.at(record.derive("fbm", 1).philox_key()[0]).standard_normal())
+    ((_, rows),) = sample_fbm_rows(h, a, half, record.derive("fbm").philox_key(), stream)
+    x = FbmPath(hurst=h, spacing=a, half_extent=int(half), values=rows[0],
+                seed_record=record.derive("fbm"))
     return JointSample(x=x, walk=walk, level=level, seed_record=record,
-                       t=float(t), y_t=y_t, z_t=z_t)
+                       t=float(t), y_t=y_t, z_t=_z_at(x.values, a, h.value, y_t, normal))
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +418,9 @@ def _supercritical_pairs(cfg: VerifyConfig, level: int) -> tuple:
     """The residual pairs of every replica of one level, drawn in one pass.
 
     Entry r of each array is ``ito_residual_pair(f, sample_joint(hurst,
-    level, t, SeedRecord(seed).derive("supercritical", level, r)))``.  Each
-    replica's clock is drawn from its re-keyed "bm" stream and only (walk
-    end, half extent, Y_t) are kept; X rows are then drawn in batches of
-    equal half extent.
+    level, t, SeedRecord(seed).derive("supercritical", level, r)))``, on the
+    same draws.  Each replica's clock is drawn from its re-keyed "bm" stream
+    and only (walk end, half extent, Y_t) are kept for the X rows.
     """
     rec = SeedRecord(cfg.seed).derive("supercritical", level)
     reps = np.arange(cfg.replicas)
@@ -432,18 +433,14 @@ def _supercritical_pairs(cfg: VerifyConfig, level: int) -> tuple:
         terminal[rep] = walk[-1]
     normals = [float(stream.at(k).standard_normal())
                for k in rec.philox_keys(reps, "fbm", 1)]
-    fbm_keys = rec.philox_keys(reps, "fbm")
     a = dyadic_step(level)
     res = np.empty(cfg.replicas)
     res_end = np.empty(cfg.replicas)
-    for half in np.unique(halves).tolist():
-        same = np.flatnonzero(halves == half)
-        group = iter(same.tolist())
-        for values in sample_fbm_rows(cfg.hurst, a, half, fbm_keys[same], stream):
-            for row in values:
-                rep = next(group)
-                z_t = _z_at(row, a, cfg.hurst, float(y_t[rep]), normals[rep])
-                res[rep], res_end[rep] = _residual_pair(cfg.f, row, int(terminal[rep]), z_t)
+    for index, rows in sample_fbm_rows(cfg.hurst, a, halves, rec.philox_keys(reps, "fbm"),
+                                       stream):
+        for rep, row in zip(index.tolist(), rows):
+            z_t = _z_at(row, a, cfg.hurst, float(y_t[rep]), normals[rep])
+            res[rep], res_end[rep] = _residual_pair(cfg.f, row, int(terminal[rep]), z_t)
     return res, res_end
 
 
@@ -483,17 +480,11 @@ def _walk_end_rows(cfg: VerifyConfig, level: int, role: str) -> Iterator[tuple]:
     ups = (stream.at(k).binomial(steps, 0.5) for k in walk_keys)
     ends = np.abs(2 * np.fromiter(ups, np.int64, len(walk_keys)) - steps)
     drawn = np.flatnonzero(ends)
-    lengths = _pow2_at_least(ends[drawn])
-    fbm_keys = rec.philox_keys(drawn, "fbm")
-    a = dyadic_step(level)
-    for n_inc in np.unique(lengths).tolist():
-        same = lengths == n_inc
-        reps = drawn[same]
-        start = 0
-        for rows in sample_fgn_rows(cfg.hurst, a, n_inc, fbm_keys[same], stream):
-            batch = reps[start:start + len(rows)]
-            yield batch, ends[batch], rows
-            start += len(rows)
+    for index, rows in sample_fgn_rows(cfg.hurst, dyadic_step(level),
+                                       _pow2_at_least(ends[drawn]),
+                                       rec.philox_keys(drawn, "fbm"), stream):
+        reps = drawn[index]
+        yield reps, ends[reps], rows
 
 
 def _critical_lhs(cfg: VerifyConfig, level: int) -> np.ndarray:
@@ -515,14 +506,11 @@ def _critical_lhs(cfg: VerifyConfig, level: int) -> np.ndarray:
     scale = np.array([abs(y) ** cfg.hurst for y in y_t])
     width = np.abs(y_t) / LHS_CELLS
     lhs = np.empty(cfg.replicas)
-    start = 0
-    for unit in sample_fbm_rows(cfg.hurst, 1.0 / LHS_CELLS, LHS_CELLS // 2,
-                                rec.philox_keys(reps, "fbm"), stream):
-        rows = slice(start, start + len(unit))
-        x = (unit - unit[:, :1]) * scale[rows, None]
-        corr = correction_std(cfg.f, x[:, :-1], width[rows], cfg.kappa3) * normals[rows]
-        lhs[rows] = cfg.f(x[:, -1]) - cfg.f(0.0) + corr
-        start += len(unit)
+    for index, unit in sample_fbm_rows(cfg.hurst, 1.0 / LHS_CELLS, LHS_CELLS // 2,
+                                       rec.philox_keys(reps, "fbm"), stream):
+        x = (unit - unit[:, :1]) * scale[index, None]
+        corr = correction_std(cfg.f, x[:, :-1], width[index], cfg.kappa3) * normals[index]
+        lhs[index] = cfg.f(x[:, -1]) - cfg.f(0.0) + corr
     return lhs
 
 

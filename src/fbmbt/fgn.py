@@ -333,16 +333,6 @@ def sample_fgn(hurst, spacing: float, n_inc: int,
     return _scaled_fgn(h, spacing, n_inc, as_seed_record(seed))
 
 
-def _check_two_sided(hurst, spacing: float, half_extent: int) -> tuple:
-    """Validated (HurstParameter, half_extent) of a two-sided grid."""
-    h = HurstParameter(_hvalue(hurst))
-    _check_positive_finite("spacing", spacing)
-    half_extent = int(half_extent)
-    if half_extent < 1:
-        raise ValueError(f"half_extent must be >= 1, got {half_extent}")
-    return h, half_extent
-
-
 def _two_sided(inc: np.ndarray, half_extent: int) -> np.ndarray:
     """Cumulative sums of (rows of) increments, re-based to 0 at half_extent."""
     cs = np.zeros(inc.shape[:-1] + (inc.shape[-1] + 1,))
@@ -359,47 +349,61 @@ def sample_fbm_two_sided(hurst, spacing: float, half_extent: int,
     The values are the cumulative sum of ``sample_fgn`` over
     ``2 * half_extent`` increments, re-based at the middle of the grid.
     """
-    h, half_extent = _check_two_sided(hurst, spacing, half_extent)
+    h = HurstParameter(_hvalue(hurst))
+    _check_positive_finite("spacing", spacing)
+    half_extent = int(_row_sizes("half_extent", half_extent))
     record = as_seed_record(seed)
     values = _two_sided(_scaled_fgn(h, spacing, 2 * half_extent, record), half_extent)
     return FbmPath(hurst=h, spacing=float(spacing), half_extent=half_extent,
                    values=values, seed_record=record)
 
 
-def sample_fbm_rows(hurst, spacing: float, half_extent: int, keys: np.ndarray,
-                    stream: KeyedPhilox) -> Iterator[np.ndarray]:
-    """Two-sided fBm paths, one per Philox key, in chunks of rows.
+def sample_fbm_rows(hurst, spacing: float, half_extent, keys: np.ndarray,
+                    stream: KeyedPhilox) -> Iterator[tuple]:
+    """Two-sided fBm paths, one per Philox key, in batches ``(index, rows)``.
 
-    Row i equals ``sample_fbm_two_sided(hurst, spacing, half_extent,
-    record).values`` for the record whose Philox key is ``keys[i]``
-    (``SeedRecord.philox_keys``), bit for bit.  Each chunk's embedding and
-    ``irfft`` run in one call, on about ``_BATCH_BYTES`` of working arrays.
-    Yields new arrays of shape (rows, 2 * half_extent + 1).
+    The batches of ``sample_fgn_rows`` over ``2 * half_extent`` increments,
+    each row summed into a new path of ``2 * half + 1`` values that equals
+    ``sample_fbm_two_sided(hurst, spacing, half, record).values``, bit for
+    bit, for the record whose Philox key is ``keys[index[j]]``.
     """
-    h, half_extent = _check_two_sided(hurst, spacing, half_extent)
-    for inc in sample_fgn_rows(h, spacing, 2 * half_extent, keys, stream):
-        yield _two_sided(inc, half_extent)
+    halves = _row_sizes("half_extent", half_extent)
+    for index, inc in sample_fgn_rows(hurst, spacing, 2 * halves, keys, stream):
+        yield index, _two_sided(inc, inc.shape[1] // 2)
 
 
-def sample_fgn_rows(hurst, spacing: float, n_inc: int, keys: np.ndarray,
-                    stream: KeyedPhilox) -> Iterator[np.ndarray]:
-    """One-sided fGn rows, one per Philox key, in chunks of rows.
+def sample_fgn_rows(hurst, spacing: float, n_inc, keys: np.ndarray,
+                    stream: KeyedPhilox) -> Iterator[tuple]:
+    """One-sided fGn rows, one per Philox key, in batches ``(index, rows)``.
 
-    Row i equals ``sample_fgn(hurst, spacing, n_inc, record)`` for the record
-    whose Philox key is ``keys[i]``, bit for bit.  Each chunk's embedding and
-    ``irfft`` run in one call, on about ``_BATCH_BYTES`` of working arrays
-    that the call allocates once: every yielded chunk, of shape (rows,
-    n_inc), is a view into them and is overwritten by the next one.
+    ``n_inc`` is one size for all keys or one per key.  Row j equals
+    ``sample_fgn(hurst, spacing, n, record)``, bit for bit, for the record
+    whose Philox key is ``keys[index[j]]`` and its size n; each key is in one
+    batch.  Keys are drawn by size, smallest first, in chunks whose embedding
+    and ``irfft`` run in one call on about ``_BATCH_BYTES`` of working arrays
+    allocated once per size: ``rows`` is valid until the next batch is drawn.
     """
     h = HurstParameter(_hvalue(hurst))
     _check_positive_finite("spacing", spacing)
-    n_inc = int(n_inc)
-    if n_inc < 1:
-        raise ValueError(f"n_inc must be >= 1, got {n_inc}")
+    sizes = np.broadcast_to(_row_sizes("n_inc", n_inc), len(keys))
+    # no np.unique for one size: its first call imports numpy.ma (notes/decisions.md)
+    groups = [(int(n_inc), np.arange(len(keys)))] if np.ndim(n_inc) == 0 else [
+        (n, np.flatnonzero(sizes == n)) for n in np.unique(sizes).tolist()]
     scale = spacing**h.value
-    for fgn in _sample_fgn_rows(keys, stream, n_inc, h.value):
-        fgn *= scale
-        yield fgn
+    for n, same in groups:
+        start = 0
+        for fgn in _sample_fgn_rows(keys[same], stream, n, h.value):
+            fgn *= scale
+            yield same[start:start + len(fgn)], fgn
+            start += len(fgn)
+
+
+def _row_sizes(name: str, sizes) -> np.ndarray:
+    """Row sizes as int64, rejecting any that is not an integer >= 1."""
+    out = np.asarray(sizes).astype(np.int64)
+    if np.any(out != sizes) or np.any(out < 1):
+        raise ValueError(f"each {name} must be an integer >= 1, got {sizes}")
+    return out
 
 
 def sample_bm(horizon: float, spacing: float, seed: "int | SeedRecord") -> BmPath:

@@ -81,11 +81,9 @@ def _level_power_sums(h: HurstParameter, power: int, level: int, t: float,
         return sums
     keys = base.derive("scaling", power, level).philox_keys(range(replicas))
     term = np.empty(k)
-    rep = 0
-    for rows in sample_fgn_rows(h, uniform_step(level), k, keys, KeyedPhilox()):
-        for row in rows:
+    for index, rows in sample_fgn_rows(h, uniform_step(level), k, keys, KeyedPhilox()):
+        for rep, row in zip(index.tolist(), rows):
             sums[rep] = _power_sum(row, power, term)
-            rep += 1
     return sums
 
 

@@ -203,6 +203,10 @@ def check_layout(t, levels, replicas, seed) -> None:
         raise ValueError(f"replicas must be an integer >= 2, got {replicas}")
     if not (is_integral(seed) and seed >= 0):
         raise ValueError(f"seed must be an integer >= 0, got {seed}")
+    # floor(2^n t) >= 2^62 (2^n t is exact): walk-end counts overflow int64
+    if t >= math.ldexp(1.0, 62 - levels[-1]):
+        raise ValueError(f"t = {t} puts floor(2^{levels[-1]} t) >= 2^62 steps "
+                         f"in the top level {levels[-1]}; lower t or the levels")
 
 
 class PerLevelReport:

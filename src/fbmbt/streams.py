@@ -149,6 +149,11 @@ class SeedRecord:
         after = [w for p in _codes(suffix) for w in _uint32_words(p)]
         return _mixed_keys(run + before + [idx.astype(np.uint32)] + after, len(idx))
 
+    def philox_key(self) -> np.ndarray:
+        """The key ``generator()`` gives Philox, as a one-row ``philox_keys`` array."""
+        seq = np.random.SeedSequence(entropy=self.master_seed, spawn_key=self.key)
+        return seq.generate_state(2, np.uint64)[None]
+
     def to_dict(self) -> dict:
         return {
             "master_seed": self.master_seed,

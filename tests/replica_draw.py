@@ -1,8 +1,9 @@
 """The per-replica draws that the branches made before each level was drawn
 in one pass.
 
-Kept only as test oracles for the one-pass level draws in ``calculus``:
-one fresh generator per stream and one fGn path per replica.
+Kept only as test oracles for the one-pass level draws in ``calculus`` and
+for ``sample_joint``, their one-replica case: one fresh generator per
+stream and one fGn path per replica.
 """
 
 import math
@@ -33,13 +34,13 @@ def walk_end_and_x(cfg, level, rec):
                              _pow2_at_least(abs(jstar)), rec.derive("fbm"))
 
 
-def supercritical_pair(cfg, level, rec):
-    """One supercritical replica as ``sample_joint`` and ``ito_residual_pair``
-    drew it: (f(Z_t) - f(0) - V_n, f(Z_{T_N}) - f(0) - V_n), and whether the
-    N-th grid hit came by t."""
-    n_steps = floor_steps(level, cfg.t)
+def joint_sample(hurst, level, t, rec):
+    """(walk, y_t, x, z_t, whether the N-th grid hit came by t) as
+    ``sample_joint`` drew them from the record ``rec``, with one fresh
+    generator per stream: the walk and Y_t from "bm", X from "fbm" and the
+    normal of Z_t from ("fbm", 1)."""
+    n_steps = floor_steps(level, t)
     a = dyadic_step(level)
-    t = cfg.t
     clock = rec.derive("bm").generator()
     hits = np.cumsum(sample_exit_times(clock, n_steps))
     steps = 2 * clock.integers(0, 2, size=n_steps) - 1
@@ -56,15 +57,23 @@ def supercritical_pair(cfg, level, rec):
     walk = np.concatenate([[0], np.cumsum(steps)])
     walk_reach = int(np.max(np.abs(walk))) + 1
     need = max(walk_reach * a, abs(y_t) + 2 * a, 4 * a)
-    x = sample_fbm_two_sided(cfg.hurst, a, _pow2_at_least(need / a), rec.derive("fbm"))
+    x = sample_fbm_two_sided(hurst, a, _pow2_at_least(need / a), rec.derive("fbm"))
     mean, std = _x_conditional(x.values, x.spacing, x.hurst.value, y_t)
     z_t = mean + std * float(rec.derive("fbm", 1).generator().standard_normal())
+    return walk, y_t, x, z_t, done == n_steps
+
+
+def supercritical_pair(cfg, level, rec):
+    """One supercritical replica as ``sample_joint`` and ``ito_residual_pair``
+    drew it: (f(Z_t) - f(0) - V_n, f(Z_{T_N}) - f(0) - V_n), and whether the
+    N-th grid hit came by t."""
+    walk, _, x, z_t, hit_by_t = joint_sample(cfg.hurst, level, cfg.t, rec)
     f = cfg.f
     terminal = int(walk[-1])
     v = symmetric_cell_sum(_as_weight(f, 1), x, level, terminal, 1)
     z_end = x.values[terminal + x.half_extent]
     pair = (float(f(z_t) - f(0.0) - v), float(f(z_end) - f(0.0) - v))
-    return pair, done == n_steps
+    return pair, hit_by_t
 
 
 def critical_lhs(cfg, rec):

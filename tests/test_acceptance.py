@@ -23,7 +23,7 @@ import numpy as np
 
 from fbmbt.calculus import (VerifyConfig, ito_residual, sample_joint,
                             taylor_coefficients, verify_branch,
-                            _skeletal_z_values)
+                            _pow2_at_least, _skeletal_z_values)
 from fbmbt.fgn import dyadic_step, sample_fbm_rows, sample_fbm_two_sided
 from fbmbt.scaling import check_cubic, check_quadratic
 from fbmbt.skeleton import (crossing_counts, sample_walk_exact,
@@ -272,12 +272,12 @@ class TestAcceptance:
             a = dyadic_step(level)
             bound = max(max(abs(s), abs(t)) for s, t in pairs) + 1.0
             k_max = int(np.ceil(bound * 2 ** (level / 2)))
-            half = 1 << int(np.ceil(np.log2(k_max + 2)))
+            half = _pow2_at_least(k_max + 2)
             scale = 2.0 ** (level * hurst / 2)
             j = np.arange(k_max)
             acc = np.zeros(len(pairs))
             keys = rec.philox_keys(np.arange(replicas))
-            for v in sample_fbm_rows(hurst, a, half, keys, KeyedPhilox()):
+            for _, v in sample_fbm_rows(hurst, a, half, keys, KeyedPhilox()):
                 c = half
                 prefix = {}
                 for sign in (1, -1):
@@ -358,20 +358,15 @@ class TestAcceptance:
                     walks = [np.concatenate([[0], np.cumsum(
                         2 * stream.at(k).integers(0, 2, size=2**n) - 1)])
                         for k in rec.philox_keys(reps, "walk")]
-                    halves = np.array([1 << int(np.ceil(np.log2(int(np.abs(w).max()) + 2)))
-                                       for w in walks])
-                    fbm_keys = rec.philox_keys(reps, "fbm")
+                    halves = _pow2_at_least([int(np.abs(w).max()) + 2 for w in walks])
                     sums = np.empty(len(reps))
-                    for half in np.unique(halves).tolist():
-                        same = iter(np.flatnonzero(halves == half).tolist())
-                        for v in sample_fbm_rows(hurst, a, half,
-                                                 fbm_keys[halves == half], stream):
-                            inc14 = np.abs(np.diff(v, axis=1)) ** 14
-                            for row in inc14:
-                                i = next(same)
-                                w = walks[i]
-                                cells = np.minimum(w[:-1], w[1:]) + half
-                                sums[i] = row[cells].sum()
+                    for index, v in sample_fbm_rows(hurst, a, halves,
+                                                    rec.philox_keys(reps, "fbm"), stream):
+                        inc14 = np.abs(np.diff(v, axis=1)) ** 14
+                        for i, row in zip(index.tolist(), inc14):
+                            w = walks[i]
+                            cells = np.minimum(w[:-1], w[1:]) + halves[i]
+                            sums[i] = row[cells].sum()
                     for value in sums.tolist():
                         total += value
                 means.append((n, total / replicas))

@@ -23,7 +23,7 @@ from fbmbt.skeleton import crossing_counts
 from fbmbt.stats import variance_stderr
 from fbmbt.streams import KeyedPhilox, SeedRecord
 from fbmbt.variations import function_by_name, polynomial, sine
-from replica_draw import critical_lhs, supercritical_pair, walk_end_and_x
+from replica_draw import critical_lhs, joint_sample, supercritical_pair, walk_end_and_x
 
 
 class TestTaylorScheme:
@@ -241,6 +241,18 @@ class TestVerifyConfig:
                            replicas=2, seed=0)
         assert cfg.levels == (1, 2, 8)
 
+    @pytest.mark.parametrize("hurst, levels", [(0.35, (3,)), (1 / 6, (3,)),
+                                               (0.1, (8, 10, 12))])
+    def test_rejects_2_to_the_62_steps_at_the_top_level(self, hurst, levels):
+        # the walk ends are int64 counts: floor(2^n t) must stay below 2^62
+        top = levels[-1]
+        message = rf"^t = .* floor\(2\^{top} t\) >= 2\^62 steps in the top level {top};"
+        for t in (1e300, 2.0 ** (62 - top)):
+            with pytest.raises(ValueError, match=message):
+                VerifyConfig(hurst=hurst, f=sine(), t=t, levels=levels, replicas=3, seed=1)
+        VerifyConfig(hurst=hurst, f=sine(), t=np.nextafter(2.0 ** (62 - top), 0),
+                     levels=levels, replicas=3, seed=1)
+
     def test_x_refine_is_gone(self):
         with pytest.raises(TypeError, match="x_refine"):
             VerifyConfig(hurst=0.35, f=sine(), t=1.0, levels=(4, 6),
@@ -369,6 +381,26 @@ class TestLevelDraw:
                 pair, hit_by_t = supercritical_pair(cfg, level, base.derive(rep))
                 assert np.array([res[rep], res_end[rep]]).tobytes() == \
                     np.array(pair).tobytes(), (level, rep)
+                ways.add(hit_by_t)
+        assert ways == {True, False}
+
+    @pytest.mark.parametrize("t", [1.0, 0.5, 0.3, 1.7])
+    def test_sample_joint_is_the_per_record_draw(self, t):
+        # t = 1.0 and 0.5 are on every level's time grid; both ways Y_t is
+        # drawn occur at each t
+        ways = set()
+        for level in range(4, 11):
+            for rep in range(8):
+                rec = SeedRecord(60).derive("replica", level, rep)
+                js = sample_joint(0.35, level, t, rec)
+                walk, y_t, x, z_t, hit_by_t = joint_sample(0.35, level, t, rec)
+                assert js.walk.tobytes() == walk.tobytes()
+                assert np.array([js.y_t, js.z_t]).tobytes() == np.array([y_t, z_t]).tobytes()
+                assert js.x.values.tobytes() == x.values.tobytes()
+                assert (js.x.hurst, js.x.spacing, js.x.half_extent, js.x.seed_record,
+                        js.x.method) == (x.hurst, x.spacing, x.half_extent,
+                                         x.seed_record, x.method)
+                assert (js.seed_record, js.level, js.t) == (rec, level, t)
                 ways.add(hit_by_t)
         assert ways == {True, False}
 

@@ -170,6 +170,18 @@ class TestVerifyCommand:
         assert code == 1
         assert "--x-refine" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("branch, hurst, levels", [
+        ("critical", "0.16666666666666666", "3"), ("subcritical", "0.1", "8,10,12"),
+        ("supercritical", "0.35", "3")])
+    def test_huge_horizon_is_usage_error(self, tmp_path, capsys, branch, hurst, levels):
+        code = run("verify", "--branch", branch, "--hurst", hurst, "--levels", levels,
+                   "--replicas", "3", "--seed", "1", "--t", "1e300",
+                   "-o", str(tmp_path / "r.json"))
+        assert code == 1
+        top = levels.split(",")[-1]
+        assert f">= 2^62 steps in the top level {top};" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_infinite_horizon_is_usage_error(self, tmp_path, capsys):
         code = run("verify", "--branch", "supercritical", "--hurst", "0.35",
                    "--t", "inf", "-o", str(tmp_path / "r.json"))

@@ -38,21 +38,17 @@ def _old_lhs(cfg, seed):
                     for k in rec.philox_keys(reps, "bm")])
     count = np.floor(np.abs(y_t) / h + 1e-12).astype(int)  # forward Ito terms
     snap = np.rint(np.abs(y_t) / h).astype(int)  # nearest grid point to |Y_t|
-    half = np.array([_pow2_at_least((max(c, s) + 1) / 2) for c, s in zip(count, snap)])
-    fbm_keys = rec.philox_keys(reps, "fbm")
+    half = _pow2_at_least((np.maximum(count, snap) + 1) / 2)
     wiener_keys = rec.philox_keys(reps, "wiener")
     f3 = cfg.f.derivative(3)
     lhs = np.empty(cfg.replicas)
-    for size in np.unique(half):
-        group = np.flatnonzero(half == size)
-        start = 0
-        for rows in sample_fbm_rows(cfg.hurst, h, int(size), fbm_keys[group], stream):
-            for r, row in zip(group[start:start + len(rows)], rows):
-                x = row - row[0]
-                dw = math.sqrt(h) * stream.at(wiener_keys[r]).standard_normal(count[r])
-                corr = (cfg.kappa3 / 12.0) * float(f3(x[:count[r]]) @ dw)
-                lhs[r] = cfg.f(x[snap[r]]) - cfg.f(0.0) + corr
-            start += len(rows)
+    for index, rows in sample_fbm_rows(cfg.hurst, h, half, rec.philox_keys(reps, "fbm"),
+                                       stream):
+        for r, row in zip(index.tolist(), rows):
+            x = row - row[0]
+            dw = math.sqrt(h) * stream.at(wiener_keys[r]).standard_normal(count[r])
+            corr = (cfg.kappa3 / 12.0) * float(f3(x[:count[r]]) @ dw)
+            lhs[r] = cfg.f(x[snap[r]]) - cfg.f(0.0) + corr
     return lhs
 
 

@@ -312,7 +312,8 @@ class TestBatchedRows:
         chunks = list(sample_fbm_rows(1 / 6, spacing, half,
                                       rec.philox_keys(reps, "fbm"), KeyedPhilox()))
         assert len(chunks) > 1
-        rows = np.vstack(chunks)
+        assert np.concatenate([index for index, _ in chunks]).tolist() == reps.tolist()
+        rows = np.vstack([rows for _, rows in chunks])
         assert rows.shape == (len(reps), 2 * half + 1)
         for rep, row in zip(reps.tolist(), rows):
             path = sample_fbm_two_sided(1 / 6, spacing, half, rec.derive(rep, "fbm"))
@@ -324,7 +325,7 @@ class TestBatchedRows:
         rec = SeedRecord(57).derive("subcritical", 9)
         reps = np.arange(10)
         spacing = dyadic_step(9)
-        chunks = [inc.copy() for inc in sample_fgn_rows(
+        chunks = [inc.copy() for _, inc in sample_fgn_rows(
             0.1, spacing, n_inc, rec.philox_keys(reps, "fbm"), KeyedPhilox())]
         assert len(chunks) == 4
         rows = np.vstack(chunks)
@@ -340,15 +341,46 @@ class TestBatchedRows:
         monkeypatch.setattr(fgn_mod, "_BATCH_BYTES", 72 * n_inc * rows)
         keys = SeedRecord(55).derive("scaling", 3, 9).philox_keys(np.arange(3 * rows + 1))
         pointers, firsts = set(), []
-        for chunk in sample_fgn_rows(1 / 6, 2.0**-9, n_inc, keys, KeyedPhilox()):
+        for _, chunk in sample_fgn_rows(1 / 6, 2.0**-9, n_inc, keys, KeyedPhilox()):
             pointers.add(chunk.__array_interface__["data"][0])
             firsts.append(chunk[0].copy())
         assert len(firsts) == 4 and len(pointers) == 1
         assert not np.array_equal(firsts[0], firsts[1])
 
+    @pytest.mark.parametrize("two_sided", [False, True])
+    def test_sizes_per_key_pair_each_row_with_its_index(self, monkeypatch, two_sided):
+        # four sizes in shuffled key order; chunks of 4 rows of 16 increments
+        # and of 1 row of 64, so the two largest sizes span several chunks;
+        # every position of keys comes back once, with its own record's draw
+        sizes = np.array([8, 1, 32, 2, 8, 32, 1, 8, 32, 2, 8, 32, 32, 1, 8, 2, 32, 8])
+        monkeypatch.setattr(fgn_mod, "_BATCH_BYTES", 72 * 16 * 4)
+        rec = SeedRecord(58).derive("supercritical", 7)
+        reps = np.arange(len(sizes)) * 5 + 2
+        keys = rec.philox_keys(reps, "fbm")
+        spacing = dyadic_step(7)
+        seen, chunks_of = [], {}
+        if two_sided:
+            batches = sample_fbm_rows(0.35, spacing, sizes, keys, KeyedPhilox())
+        else:
+            batches = sample_fgn_rows(0.35, spacing, 2 * sizes, keys, KeyedPhilox())
+        for index, rows in batches:
+            assert len(index) == len(rows) and len(set(sizes[index].tolist())) == 1
+            chunks_of[int(sizes[index[0]])] = chunks_of.get(int(sizes[index[0]]), 0) + 1
+            for i, row in zip(index.tolist(), rows):
+                record = rec.derive(int(reps[i]), "fbm")
+                if two_sided:
+                    expected = sample_fbm_two_sided(0.35, spacing, int(sizes[i]), record).values
+                else:
+                    expected = sample_fgn(0.35, spacing, 2 * int(sizes[i]), record)
+                assert row.tobytes() == expected.tobytes(), i
+                seen.append(i)
+        assert sorted(seen) == list(range(len(sizes)))
+        assert min(chunks_of[8], chunks_of[32]) > 1
+
     def test_rejects_bad_arguments(self):
         keys = SeedRecord(56).philox_keys(np.arange(2))
-        for args in ((0.3, 0.0, 4), (0.3, 0.1, 0), (1.0, 0.1, 4)):
+        for args in ((0.3, 0.0, 4), (0.3, 0.1, 0), (1.0, 0.1, 4), (0.3, 0.1, 2.5),
+                     (0.3, 0.1, np.array([4, 0])), (0.3, 0.1, np.array([4, 4, 4]))):
             with pytest.raises(ValueError):
                 next(sample_fbm_rows(*args, keys, KeyedPhilox()))
             with pytest.raises(ValueError):

@@ -92,9 +92,9 @@ def drawn_rows(monkeypatch):
     draw = scaling_mod.sample_fgn_rows
 
     def recording(hurst, spacing, n_inc, keys, stream):
-        for chunk in draw(hurst, spacing, n_inc, keys, stream):
+        for index, chunk in draw(hurst, spacing, n_inc, keys, stream):
             rows.extend((n_inc, row.copy()) for row in chunk)
-            yield chunk
+            yield index, chunk
 
     monkeypatch.setattr(scaling_mod, "sample_fgn_rows", recording)
     return rows
@@ -182,6 +182,12 @@ class TestCheckCubic:
         s2a, s2b = small.estimated_sigma2, large.estimated_sigma2
         tol = 3 * s2a * np.sqrt(2.5 / 400)
         assert abs(s2a - s2b) <= tol
+
+    @pytest.mark.parametrize("check", [check_quadratic, check_cubic])
+    def test_2_to_the_62_steps_at_the_top_level_rejected(self, check):
+        message = r"^t = 1e\+300 .* >= 2\^62 steps in the top level 8;"
+        with pytest.raises(ValueError, match=message):
+            check(1 / 6, 1e300, [6, 8], 5, 0)
 
     def test_zero_step_top_level_rejected(self):
         with pytest.raises(ValueError, match=r"t = 0\.1 .* top level 2"):

@@ -43,6 +43,17 @@ def test_keys_reject_out_of_range_indices():
     assert rec.philox_keys(np.array([], dtype=np.int64)).shape == (0, 2)
 
 
+@pytest.mark.parametrize("record", [
+    SeedRecord(5), SeedRecord(2**70), SeedRecord(3).derive(2**40),
+    SeedRecord(7).derive("supercritical", 9, 4, "fbm", 1)])
+def test_a_records_own_key_is_its_generators(record):
+    key = record.philox_key()
+    assert key.shape == (1, 2) and key.dtype == np.uint64
+    assert key[0].tolist() == record.generator().bit_generator.state["state"]["key"].tolist()
+    np.testing.assert_array_equal(KeyedPhilox().at(key[0]).standard_normal(6),
+                                  record.generator().standard_normal(6))
+
+
 class TestKeyedPhilox:
     def _pairs(self):
         rec = SeedRecord(202).derive("subcritical", 8)
