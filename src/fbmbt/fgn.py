@@ -386,11 +386,9 @@ def sample_fgn_rows(hurst, spacing: float, n_inc, keys: np.ndarray,
     h = HurstParameter(_hvalue(hurst))
     _check_positive_finite("spacing", spacing)
     sizes = np.broadcast_to(_row_sizes("n_inc", n_inc), len(keys))
-    # no np.unique for one size: its first call imports numpy.ma (notes/decisions.md)
-    groups = [(int(n_inc), np.arange(len(keys)))] if np.ndim(n_inc) == 0 else [
-        (n, np.flatnonzero(sizes == n)) for n in np.unique(sizes).tolist()]
     scale = spacing**h.value
-    for n, same in groups:
+    for n in np.unique(sizes).tolist():
+        same = np.flatnonzero(sizes == n)
         start = 0
         for fgn in _sample_fgn_rows(keys[same], stream, n, h.value):
             fgn *= scale
@@ -401,7 +399,7 @@ def sample_fgn_rows(hurst, spacing: float, n_inc, keys: np.ndarray,
 def _row_sizes(name: str, sizes) -> np.ndarray:
     """Row sizes as int64, rejecting any that is not an integer >= 1."""
     out = np.asarray(sizes).astype(np.int64)
-    if np.any(out != sizes) or np.any(out < 1):
+    if (out != sizes).any() or (out < 1).any():
         raise ValueError(f"each {name} must be an integer >= 1, got {sizes}")
     return out
 

@@ -128,9 +128,11 @@ class SeedRecord:
         """Child stream keyed by role labels and indices."""
         return replace(self, key=self.key + _codes(parts))
 
+    def _seed_sequence(self) -> np.random.SeedSequence:
+        return np.random.SeedSequence(entropy=self.master_seed, spawn_key=self.key)
+
     def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(entropy=self.master_seed, spawn_key=self.key)
-        return np.random.Generator(np.random.Philox(seq))
+        return np.random.Generator(np.random.Philox(self._seed_sequence()))
 
     def philox_keys(self, indices, *suffix: int | str) -> np.ndarray:
         """Philox keys of ``self.derive(i, *suffix)`` for every ``i`` in ``indices``.
@@ -151,8 +153,7 @@ class SeedRecord:
 
     def philox_key(self) -> np.ndarray:
         """The key ``generator()`` gives Philox, as a one-row ``philox_keys`` array."""
-        seq = np.random.SeedSequence(entropy=self.master_seed, spawn_key=self.key)
-        return seq.generate_state(2, np.uint64)[None]
+        return self._seed_sequence().generate_state(2, np.uint64)[None]
 
     def to_dict(self) -> dict:
         return {
