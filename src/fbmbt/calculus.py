@@ -179,12 +179,13 @@ def _clock_draw(clock: np.random.Generator, level: int, t: float) -> tuple:
     a = dyadic_step(level)
     hits = np.cumsum(sample_exit_times(clock, n_steps))
     steps = 2 * clock.integers(0, 2, size=n_steps) - 1
-    done = int(np.searchsorted(hits, t * 2.0**level, side="right"))  # = k - 1
+    horizon = math.ldexp(t, level)  # t in units of 2^{-n}; 2.0**level may overflow
+    done = int(np.searchsorted(hits, horizon, side="right"))  # = k - 1
     if done == n_steps:
-        last = hits[-1] * 2.0**-level if n_steps else 0.0
+        last = math.ldexp(hits[-1], -level) if n_steps else 0.0
         y_t = a * int(steps.sum()) + math.sqrt(t - last) * float(clock.standard_normal())
     else:
-        elapsed = t * 2.0**level - (hits[done - 1] if done else 0.0)
+        elapsed = horizon - (hits[done - 1] if done else 0.0)
         v, coin = clock.random(2)
         pos = killed_position(elapsed, float(v))
         steps[done] = 1 if coin < 0.5 * (1.0 + pos) else -1
@@ -538,14 +539,17 @@ def _branch_critical_level(cfg: VerifyConfig, level: int) -> dict:
 
 def _cube_sums(cfg: VerifyConfig, level: int) -> np.ndarray:
     """V_n^(3)(1, t), the unweighted cube sum over the walk's cells, one per
-    replica of the level (0 where the walk ends at 0)."""
+    replica of the level (0 where the walk ends at 0).
+
+    Each row's cubes at and past |j*| are zeroed and the row is summed
+    pairwise over its padded length; a row's sum does not depend on the
+    other rows of its batch (notes/decisions.md, "Masked cube sums").
+    """
     vals = np.zeros(cfg.replicas)
     for reps, ends, rows in _walk_end_rows(cfg, level, "subcritical"):
-        # unweighted: _cell_sum with a constant weight gives the same bits
-        # but evaluates the weight on every cell
         cubes = rows * rows * rows
-        for rep, m, row in zip(reps.tolist(), ends.tolist(), cubes):
-            vals[rep] = math.fsum(row[:m].tolist())
+        cubes[np.arange(rows.shape[1]) >= ends[:, None]] = 0.0
+        vals[reps] = np.add.reduce(cubes, axis=1)
     return vals
 
 

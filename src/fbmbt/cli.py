@@ -170,6 +170,13 @@ def _parse_levels(text: str) -> tuple:
         raise UsageError(f"bad levels list {text!r}") from None
 
 
+def _out_of_memory(levels: tuple, t: float) -> UsageError:
+    """A layout the checks accept but this machine cannot hold; the library
+    cannot know the memory, so only the command line turns it into exit 1."""
+    return UsageError(f"not enough memory for the draws at the top level "
+                      f"{levels[-1]} with t = {t}; lower t or the levels")
+
+
 def _require_out(cfg: RunConfig, default_name: str) -> Path:
     out = cfg.out
     if out is None:
@@ -232,6 +239,9 @@ def cmd_skeleton(cfg: RunConfig) -> int:
         sk = skeleton.sample_walk_exact(level, steps, cfg.seed)
     except OverflowError:
         raise UsageError(f"floor(2^{level} * {horizon}) steps overflow a float") from None
+    except MemoryError:
+        raise UsageError(f"not enough memory for floor(2^{level} * {horizon}) steps; "
+                         "lower the level or the horizon") from None
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     out = _require_out(cfg, f"skeleton_n{level}_seed{cfg.seed}.skel")
@@ -256,6 +266,8 @@ def cmd_verify(cfg: RunConfig) -> int:
         report = calculus.verify_branch(p["branch"], vc)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    except MemoryError:
+        raise _out_of_memory(levels, p["t"]) from None
     out = _require_out(cfg, f"verify_{p['branch']}_seed{cfg.seed}.json")
     report.save(out)
     csv_path = _csv_sibling(cfg, out, p.get("csv"))
@@ -288,6 +300,8 @@ def cmd_scaling(cfg: RunConfig) -> int:
                                          p["replicas"], cfg.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    except MemoryError:
+        raise _out_of_memory(levels, p["t"]) from None
     out = _require_out(cfg, f"scaling_p{p['power']}_seed{cfg.seed}.json")
     report.save(out)
     csv_path = _csv_sibling(cfg, out, p.get("csv"))

@@ -124,8 +124,16 @@ def uniform_step(level: int) -> float:
 
 
 def floor_steps(level: float, t: float) -> int:
-    """floor(2^level t), snapped to an integer within 1e-9 relative."""
-    x = (2.0 ** level) * t
+    """floor(2^level t), snapped to an integer within 1e-9 relative.
+
+    ``level`` is an integer or a half-integer.  2^level t is formed with
+    ``ldexp`` on the whole part of the level and t's own exponent, so it
+    overflows or underflows only where the product does, not where 2^level
+    alone does.
+    """
+    whole = math.floor(level)
+    m, e = math.frexp(t)
+    x = math.ldexp(m * 2.0 ** (level - whole), e + whole)
     r = round(x)
     return int(r) if abs(x - r) <= 1e-9 * max(1.0, abs(x)) else math.floor(x)
 

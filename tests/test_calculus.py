@@ -484,29 +484,84 @@ class TestWalkEndDraw:
         reduce(cfg, level)
         assert len(switches) == cfg.replicas + drawn
 
+    @staticmethod
+    def _cube_sum_oracle(cfg, level):
+        """Per replica, from each record's own padded row: the masked
+        pairwise sum (cubes at and past |j*| zeroed, the row summed over its
+        padded length), math.fsum of the first |j*| cubes, and a bound on
+        their distance.  All 0 where j* = 0."""
+        base = SeedRecord(cfg.seed).derive("subcritical", level)
+        masked, exact, bound = (np.zeros(cfg.replicas) for _ in range(3))
+        for rep in range(cfg.replicas):
+            jstar, row = walk_end_and_x(cfg, level, base.derive(rep))
+            if row is None:
+                continue
+            cubes = row * row * row
+            cubes[abs(jstar):] = 0.0
+            masked[rep] = np.add.reduce(cubes)
+            exact[rep] = math.fsum(cubes.tolist())
+            # numpy sums blocks of <= 128 terms in 8 accumulators (<= 15 + 3
+            # roundings on a term's path) and halves longer rows, one more
+            # rounding per halving; fsum rounds once
+            k = 19 + max(0, math.ceil(math.log2(len(cubes) / 128)))
+            u = np.finfo(float).eps / 2
+            bound[rep] = k * u / (1 - k * u) * math.fsum(np.abs(cubes).tolist())
+        return masked, exact, bound
+
     @pytest.mark.parametrize("level, t", [(3, 0.9), (4, 1.0), (9, 0.7)])
     def test_sums_match_the_per_replica_sums(self, level, t):
         # the sums of a walk ending at -m are the +m sums on the mirrored
         # path, so both read the row's first |j*| increments from 0
         cfg = VerifyConfig(hurst=1 / 6, f=function_by_name("gauss"), t=t,
                            levels=(level,), replicas=60, seed=63)
+        masked, exact, bound = self._cube_sum_oracle(cfg, level)
+        cubes = _cube_sums(cfg, level)
+        assert cubes.tobytes() == masked.tobytes()
+        assert np.all(np.abs(cubes - exact) <= bound)
         f1 = cfg.f.derivative(1)
-        for role, pool in (("subcritical", _cube_sums(cfg, level)),
-                           ("critical-rhs", _critical_rhs(cfg, level))):
-            base = SeedRecord(63).derive(role, level)
-            for rep in range(cfg.replicas):
-                jstar, row = walk_end_and_x(cfg, level, base.derive(rep))
-                if row is None:
-                    assert pool[rep] == 0.0
-                    continue
-                d = row[:abs(jstar)]
-                if role == "subcritical":
-                    expected = math.fsum((d * d * d).tolist())
-                else:
-                    x = np.concatenate([[0.0], np.cumsum(d)])
-                    terms = 0.5 * (f1(x[:-1]) + f1(x[1:])) * (x[1:] - x[:-1])
-                    expected = math.fsum(terms.tolist())
-                assert pool[rep] == expected, (role, rep, jstar)
+        rhs = _critical_rhs(cfg, level)
+        base = SeedRecord(63).derive("critical-rhs", level)
+        for rep in range(cfg.replicas):
+            jstar, row = walk_end_and_x(cfg, level, base.derive(rep))
+            if row is None:
+                assert rhs[rep] == 0.0
+                continue
+            x = np.concatenate([[0.0], np.cumsum(row[:abs(jstar)])])
+            terms = 0.5 * (f1(x[:-1]) + f1(x[1:])) * (x[1:] - x[:-1])
+            assert rhs[rep] == math.fsum(terms.tolist()), (rep, jstar)
+
+    def test_summing_the_padding_fails(self, monkeypatch):
+        # mutant: every row summed over its whole padded length
+        def unmasked(cfg, level, role):
+            for reps, ends, rows in _walk_end_rows(cfg, level, role):
+                yield reps, np.full_like(ends, rows.shape[1]), rows
+
+        cfg = VerifyConfig(hurst=0.1, f=sine(), t=0.7, levels=(9,), replicas=60,
+                           seed=63)
+        masked, exact, bound = self._cube_sum_oracle(cfg, 9)
+        monkeypatch.setattr(calculus_mod, "_walk_end_rows", unmasked)
+        mutant = _cube_sums(cfg, 9)
+        assert mutant.tobytes() != masked.tobytes()
+        assert not np.all(np.abs(mutant - exact) <= bound)
+
+    def test_sums_do_not_depend_on_the_chunks(self, monkeypatch):
+        # every row size in one chunk, then a few rows per chunk
+        level = 9
+        cfg = VerifyConfig(hurst=0.1, f=sine(), t=1.0, levels=(level,),
+                           replicas=300, seed=65)
+
+        def sizes():
+            return [rows.shape[1] for _, _, rows in
+                    _walk_end_rows(cfg, level, "subcritical")]
+
+        monkeypatch.setattr(fgn_mod, "_BATCH_BYTES", 2**30)
+        one_chunk_each = sizes()
+        assert len(set(one_chunk_each)) == len(one_chunk_each)
+        whole = _cube_sums(cfg, level)
+        monkeypatch.setattr(fgn_mod, "_BATCH_BYTES", 72 * 2**level // 4)
+        chunked = sizes()
+        assert len(set(chunked)) < len(chunked)
+        assert _cube_sums(cfg, level).tobytes() == whole.tobytes()
 
     @staticmethod
     def _exact_cube_sum_variance(level, hurst):

@@ -94,6 +94,15 @@ class TestSkeletonCommand:
         assert "floor(2^4 * 0.05) = 0 steps" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_too_many_steps_for_memory_is_usage_error(self, tmp_path, capsys):
+        # 2^50 coin flips: numpy refuses the array before allocating any of it
+        out = tmp_path / "s.skel"
+        code = run("skeleton", "--level", "50", "--horizon", "1", "-o", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "not enough memory for floor(2^50 * 1.0) steps" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [("--mode", "naive"), ("--spacing", "1e-3")])
     def test_removed_flags_are_usage_errors(self, tmp_path, capsys, flag, value):
         out = tmp_path / "s.skel"
@@ -189,6 +198,32 @@ class TestVerifyCommand:
         assert "t must be finite" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("branch, hurst, expected", [
+        ("subcritical", "0.1", 1), ("critical", "0.16666666666666666", 2),
+        ("supercritical", "0.35", 2)])
+    def test_levels_past_the_float_range_of_2_to_the_n(self, tmp_path, capsys,
+                                                        branch, hurst, expected):
+        # 2.0 ** 1024 overflows, 2^1026 * 1e-310 is about 0.07: no level
+        # holds a step, which only the subcritical branch rejects
+        code = run("verify", "--branch", branch, "--hurst", hurst,
+                   "--levels", "1024,1025,1026", "--t", "1e-310", "--replicas", "2",
+                   "-o", str(tmp_path / "r.json"))
+        err = capsys.readouterr().err
+        assert code == expected, err
+        assert "runtime error" not in err
+        if branch == "subcritical":
+            assert "subcritical level 1024: every walk ended at 0" in err
+
+    def test_layout_too_large_for_memory_is_usage_error(self, tmp_path, capsys):
+        # 2^50 exit times: numpy refuses the array before allocating any of it
+        code = run("verify", "--branch", "supercritical", "--hurst", "0.35",
+                   "--levels", "50", "--replicas", "2", "-o", str(tmp_path / "r.json"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "not enough memory for the draws at the top level 50 with t = 1.0" in err
+        assert "runtime error" not in err
+        assert not (tmp_path / "r.json").exists()
+
 
 class TestScalingCommand:
     def test_quadratic_report(self, tmp_path):
@@ -222,6 +257,16 @@ class TestScalingCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert "t = 0.1 leaves no increment at the top level 2" in err
+        assert not out.exists()
+
+    def test_cubic_levels_past_the_float_range_of_2_to_the_n(self, tmp_path, capsys):
+        # 2.0 ** 1024 overflows, 2^1026 * 1e-310 is about 0.07
+        out = tmp_path / "s.json"
+        code = run("scaling", "--hurst", "0.1", "--power", "3", "--t", "1e-310",
+                   "--levels", "1024,1025,1026", "--replicas", "2", "-o", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "t = 1e-310 leaves no increment at the top level 1026" in err
         assert not out.exists()
 
     def test_cubic_requires_low_hurst(self, tmp_path, capsys):

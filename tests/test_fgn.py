@@ -1,8 +1,12 @@
 """Covariance kernels and exact-law samplers."""
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import fbmbt.fgn as fgn_mod
 from fbmbt.fgn import (BmPath, EmbeddingError, FbmPath, HurstParameter,
@@ -165,6 +169,34 @@ class TestFloorSteps:
         (3.5, 1.0, 11),  # half levels count spatial cells 2^{-n/2}
     ])
     def test_counts_whole_steps(self, level, t, expected):
+        assert floor_steps(level, t) == expected
+
+    @staticmethod
+    def _old_floor_steps(level, t):
+        """floor_steps as it was, 2^level formed first; None where that
+        overflows."""
+        try:
+            x = (2.0 ** level) * t
+        except OverflowError:
+            return None
+        if not math.isfinite(x):
+            return None
+        r = round(x)
+        return int(r) if abs(x - r) <= 1e-9 * max(1.0, abs(x)) else math.floor(x)
+
+    @given(whole=st.integers(-1100, 1100), half=st.booleans(),
+           t=st.floats(0.0, 1e308, allow_subnormal=True))
+    def test_same_count_as_forming_2_to_the_level_first(self, whole, half, t):
+        level = whole + 0.5 if half else whole
+        old = self._old_floor_steps(level, t)
+        assume(old is not None)
+        assert floor_steps(level, t) == old
+
+    @pytest.mark.parametrize("level, t, expected", [
+        (1026, 1e-310, 0), (1025.5, 1e-310, 0), (1030, 1e-310, 1),
+        (1074, 2.0**-1074, 1), (1080, 2.0**-1074, 64), (1080.5, 2.0**-1074, 90)])
+    def test_levels_where_2_to_the_level_overflows(self, level, t, expected):
+        # 2^1030 * 1e-310 = 1.15...; 2^6.5 = 90.5...
         assert floor_steps(level, t) == expected
 
 
