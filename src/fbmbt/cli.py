@@ -6,7 +6,7 @@ generate   sample an fBm or BM path and write it (binary+header or CSV)
 skeleton   draw the exact level-n walk and hitting times over [0, horizon]
 verify     Monte Carlo check of one branch of the change-of-variable formula
 scaling    quadratic/cubic variation scaling reports for plain fBm
-selftest   run the deterministic identity suites
+selftest   run the deterministic identity checks (C1-C4, C12's closed form)
 
 Exit codes: 0 success, 1 usage/config error, 2 acceptance-threshold
 failure, 3 runtime or I/O error.  FBMBT_OUTDIR sets the default output
@@ -20,8 +20,6 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 __all__ = ["main", "RunConfig", "UsageError"]
 
@@ -117,8 +115,8 @@ def _build_parser() -> _Parser:
     c.add_argument("--csv", default=None,
                    help="per-level CSV path (default: next to the JSON report)")
 
-    t = sub.add_parser("selftest", help="run the deterministic identity suites")
-    common(t)
+    t = sub.add_parser("selftest", help="run the deterministic identity checks")
+    t.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -155,7 +153,7 @@ def _apply_config_file(parser: _Parser, args: argparse.Namespace, path: str) -> 
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
-    outdir = Path(args.outdir or os.environ.get(ENV_OUTDIR, "."))
+    outdir = Path(getattr(args, "outdir", None) or os.environ.get(ENV_OUTDIR, "."))
     params = {k: v for k, v in vars(args).items()
               if k not in ("command", "seed", "outdir", "config")}
     return RunConfig(command=args.command, seed=int(args.seed),
@@ -316,103 +314,15 @@ def cmd_scaling(cfg: RunConfig) -> int:
 
 
 def cmd_selftest(cfg: RunConfig) -> int:
-    """Deterministic identity suites; exit 0 iff all hold."""
-    from fractions import Fraction
+    """The identity checks of fbmbt.identities at --seed; exit 0 iff all hold."""
+    from .identities import CHECKS
 
-    from . import calculus
-    from .fgn import dyadic_step, sample_fbm_two_sided
-    from .skeleton import crossing_counts, sample_walk_exact, updown_difference
-    from .streams import SeedRecord
-    from .variations import (decompose_variation, function_by_name, hermite,
-                             odd_power_hermite_coeffs,
-                             symmetric_variation_direct,
-                             symmetric_variation_skeletal)
-
-    failures = []
-
-    def check(name: str, ok: bool, detail: str = "") -> None:
-        print(f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  ({detail})" if detail else ""))
-        if not ok:
-            failures.append(name)
-
-    x = 1.3
-    check("hermite recurrence vs explicit H5",
-          abs(hermite(5, x) - (x**5 - 10 * x**3 + 15 * x)) < 1e-12)
-    ok = True
-    for r in range(1, 8):
-        a = odd_power_hermite_coeffs(r)
-        for xv in (-1.7, 0.4, 2.2):
-            lhs = xv ** (2 * r - 1)
-            terms = [a[l - 1] * hermite(2 * l - 1, xv) for l in range(1, r + 1)]
-            # cancellation scale: errors accumulate at the size of the terms
-            scale = max(1.0, abs(lhs), sum(abs(tv) for tv in terms))
-            ok = ok and abs(lhs - sum(terms)) <= 1e-10 * scale
-        ok = ok and a[-1] == 1.0
-    check("odd-power Hermite decomposition", ok)
-
-    scheme = calculus.taylor_coefficients()
-    ok = scheme.gammas[1] == Fraction(-1, 24)
-    rng = np.random.default_rng(3)
-    for k in range(14):
-        from .variations import polynomial
-        mono = polynomial([0.0] * k + [1.0])
-        for _ in range(5):
-            aa, bb = rng.uniform(-1.5, 1.5, size=2)
-            err = abs(scheme.expand(mono, aa, bb) - (bb**k - aa**k))
-            ok = ok and err <= 1e-10 * max(1.0, abs(bb - aa)) ** 13
-    check("symmetric expansion exact through degree 13", ok)
-
-    ok = True
-    for length in range(1, 11):
-        for bits in range(2 ** length):
-            steps = [1 if (bits >> i) & 1 else -1 for i in range(length)]
-            walk = [0]
-            for s in steps:
-                walk.append(walk[-1] + s)
-            up: dict = {}
-            down: dict = {}
-            for k in range(length):
-                j = min(walk[k], walk[k + 1])
-                (up if walk[k + 1] > walk[k] else down)[j] = \
-                    (up if walk[k + 1] > walk[k] else down).get(j, 0) + 1
-            lo = min(walk) - 1
-            hi = max(walk) + 1
-            for j in range(lo, hi + 1):
-                if up.get(j, 0) - down.get(j, 0) != updown_difference(walk[-1], j):
-                    ok = False
-    check("crossing-number closed form (exhaustive, length <= 10)", ok)
-
-    f = function_by_name("sin")
-    ok = True
-    for rep in range(5):
-        rec = SeedRecord(cfg.seed).derive("replica", rep)
-        sk = sample_walk_exact(8, 256, rec)
-        reach = int(np.max(np.abs(sk.walk))) + 1
-        x_grid = sample_fbm_two_sided(0.3, dyadic_step(8), reach, rec.derive("fbm"))
-        counts = crossing_counts(sk, 1.0)
-        z = x_grid.values[sk.walk + x_grid.half_extent]
-        for r in (1, 2, 3):
-            direct = symmetric_variation_direct(f, z, 2 * r - 1)
-            skel = symmetric_variation_skeletal(f, x_grid, counts, 2 * r - 1)
-            ok = ok and abs(direct - skel) <= max(1e-9 * max(abs(direct), abs(skel)), 1e-12)
-        for order, (lhs, rhs) in decompose_variation(f, x_grid, counts).items():
-            ok = ok and abs(lhs - rhs) <= max(1e-9 * max(abs(lhs), abs(rhs)), 1e-12)
-    check("cell-sum identity and Hermite decomposition (5 seeded samples)", ok)
-
-    ok = True
-    for rep in range(3):
-        js = calculus.sample_joint(0.35, 8, 1.0, SeedRecord(cfg.seed).derive("replica", 100 + rep))
-        from .variations import polynomial
-        ident = polynomial([0.0, 1.0])
-        square = polynomial([0.0, 0.0, 1.0])
-        z = calculus._skeletal_z_values(js, 1.0)
-        r1 = calculus.ito_residual(ident, js)
-        r2 = calculus.ito_residual(square, js)
-        ok = ok and abs(r1 - (js.z_t - z[-1])) <= 1e-12
-        ok = ok and abs(r2 - (js.z_t**2 - z[-1] ** 2)) <= 1e-12
-    check("telescoping residuals for x and x^2", ok)
-
-    return EXIT_OK if not failures else EXIT_ACCEPTANCE
+    failed = False
+    for check in CHECKS:
+        result = check(cfg.seed)
+        print(f"{'PASS' if result.ok else 'FAIL'}  {result}")
+        failed |= not result.ok
+    return EXIT_ACCEPTANCE if failed else EXIT_OK
 
 
 _COMMANDS = {

@@ -474,9 +474,12 @@ def sample_walk_exact(level: int, steps: int, seed: "int | SeedRecord",
     increments = 2 * flips.astype(np.int64) - 1
     if with_times:
         tau = sample_exit_times(record.derive("exit").generator(), steps)
-        times = np.concatenate([[0.0], np.cumsum(tau) * 2.0 ** (-level)])
+        times = np.concatenate([[0.0], np.ldexp(np.cumsum(tau), -level)])
     else:
-        times = np.arange(steps + 1, dtype=np.float64) * 2.0 ** (-level)
+        times = np.ldexp(np.arange(steps + 1, dtype=np.float64), -level)
+    if not np.all(times[1:] > times[:-1]):  # ldexp is exact until they round together
+        raise ValueError(f"the hitting times of level {level} collapse: its time step "
+                         f"2^-{level} is below the smallest float that keeps them apart")
     walk = np.concatenate([[0], np.cumsum(increments)])
     return SkeletalStructure(level=level, times=times, walk=walk, mode="exact",
                              source={"kind": "exact-walk",

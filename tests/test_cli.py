@@ -94,6 +94,12 @@ class TestSkeletonCommand:
         assert "floor(2^4 * 0.05) = 0 steps" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_level_past_the_float_range_is_usage_error(self, tmp_path, capsys):
+        # floor(2^1080 * 5e-324) = 64 steps of 2^-1080, which rounds to 0
+        assert run("skeleton", "--level", "1080", "--horizon", "5e-324",
+                   "--outdir", str(tmp_path)) == 1
+        assert "level 1080 collapse" in capsys.readouterr().err
+
     def test_too_many_steps_for_memory_is_usage_error(self, tmp_path, capsys):
         # 2^50 coin flips: numpy refuses the array before allocating any of it
         out = tmp_path / "s.skel"
@@ -278,9 +284,13 @@ class TestScalingCommand:
 class TestSelftest:
     def test_exit_zero_and_summary(self, capsys):
         assert run("selftest", "--seed", "5") == 0
-        out = capsys.readouterr().out
-        assert out.count("PASS") >= 6
-        assert "FAIL" not in out
+        heads = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+        assert heads == ["PASS  " + name for name in (
+            "cell-sum identity", "Hermite decomposition identity", "two-point expansion "
+            "exactness", "residual telescoping", "crossing closed form and conservation")]
+
+    def test_takes_no_output_option(self):
+        assert run("selftest", "--out", "x") == 1
 
 
 class TestConfigPlumbing:

@@ -470,6 +470,12 @@ class TestSampleWalkExact:
         with pytest.raises(ValueError):
             sample_walk_exact(4, 0, seed=1)
 
+    def test_times_scale_exactly_until_they_collapse(self):
+        sk = sample_walk_exact(1000, 32, seed=2)
+        assert np.array_equal(np.ldexp(sk.times, 1000), sample_walk_exact(0, 32, seed=2).times)
+        with pytest.raises(ValueError, match="level 1080 collapse.*smallest float"):
+            sample_walk_exact(1080, 64, seed=1)  # 2^-1080 < 2^-1074, the least subnormal
+
 
 class TestSerialization:
     def test_roundtrip(self, tmp_path):
