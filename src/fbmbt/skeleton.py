@@ -77,7 +77,9 @@ class SkeletalStructure:
             raise ValueError("skeleton must start at (t=0, j=0)")
         if len(times) > 1:
             if not np.all(np.diff(times) > 0):
-                raise ValueError("hitting times must be strictly increasing")
+                raise ValueError(f"hitting times must be strictly increasing; those of "
+                                 f"level {self.level} collapse where its time step "
+                                 f"2^-{self.level} is below the smallest float")
             if not np.all(np.abs(np.diff(walk)) == 1):
                 raise ValueError("walk steps must be +-1")
 
@@ -477,9 +479,6 @@ def sample_walk_exact(level: int, steps: int, seed: "int | SeedRecord",
         times = np.concatenate([[0.0], np.ldexp(np.cumsum(tau), -level)])
     else:
         times = np.ldexp(np.arange(steps + 1, dtype=np.float64), -level)
-    if not np.all(times[1:] > times[:-1]):  # ldexp is exact until they round together
-        raise ValueError(f"the hitting times of level {level} collapse: its time step "
-                         f"2^-{level} is below the smallest float that keeps them apart")
     walk = np.concatenate([[0], np.cumsum(increments)])
     return SkeletalStructure(level=level, times=times, walk=walk, mode="exact",
                              source={"kind": "exact-walk",

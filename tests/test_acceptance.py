@@ -122,29 +122,21 @@ class TestAcceptance:
         decreasing = all(b < a for a, b in zip(means, means[1:]))  # for the line
         end_ratio = ends[-1] / ends[0]
         halved = end_ratio <= 0.5
-        # The levels draw independent replicas; the report propagates each
-        # level's stderr through the least-squares weights.
         slope_se = rep.extra["mean_abs_log2_slope_stderr"]
         slope = rep.extra["mean_abs_log2_slope"]
         target = -hurst / 4
         elapsed = time.perf_counter() - start
         ok = not failures and halved
-        decrease_detail = (f"mean|res| by level {[round(m, 4) for m in means]} "
-                           f"strictly decreasing: {decreasing} (gate True)")
         halving_detail = (f"skeleton-end remainder ratio n14/n8 {end_ratio:.3f} "
                           f"(gate <= 0.50)")
-        slope_detail = (f"log2 slope of mean|res| {slope:+.4f} (gate "
-                        f"{target:+.4f} +- {3 * slope_se:.4f}, 3 SE)")
         _report(7, "supercritical residual", ok,
-                f"{decrease_detail}; {halving_detail}; {slope_detail}; "
-                f"{elapsed:.1f}s")
+                f"mean|res| by level {[round(m, 4) for m in means]} strictly decreasing: "
+                f"{decreasing} (gate True); {halving_detail}; log2 slope of mean|res| "
+                f"{slope:+.4f} (gate {target:+.4f} +- {3 * slope_se:.4f}, 3 SE); {elapsed:.1f}s")
         assert not failures, f"{failures}; see notes/decisions.md"
-        assert halved, (
-            f"{halving_detail}: the Taylor remainder at the last skeletal time "
-            f"should decay like 2^(-n(6H-1)/4) = "
-            f"{2.0 ** (-6 * (6 * hurst - 1) / 4):.3f} over six levels. "
-            f"See notes/decisions.md."
-        )
+        assert halved, (f"{halving_detail}: the remainder at T_N should decay like "
+                        f"2^(-n(6H-1)/4) = {2.0 ** (-6 * (6 * hurst - 1) / 4):.3f} over six "
+                        f"levels; see notes/decisions.md")
         assert elapsed < 600
 
     def test_c08_critical_law_match(self):

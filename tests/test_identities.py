@@ -35,3 +35,11 @@ def test_broken_ingredient_fails_its_check(monkeypatch, capsys, name):
     assert main(["selftest", "--seed", "3"]) == 2
     heads = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
     assert len(heads) == len(identities.CHECKS) and f"FAIL  {name}" in heads
+
+
+def test_nan_in_a_late_case_fails_its_check(monkeypatch):
+    calls = iter(range(10))  # C4 measures 10 cases; the last one turns NaN
+    monkeypatch.setattr(identities, "ito_residual", lambda f, js: calculus.ito_residual(
+        f, js) + (np.nan if next(calls) == 9 else 0.0))
+    result = identities.residual_telescoping(3)
+    assert not result.ok and result.where == "i=4, f=square"
