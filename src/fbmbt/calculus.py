@@ -33,7 +33,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .fgn import (ExtentError, FbmPath, HurstParameter, dyadic_step,
+from .fgn import (ExtentError, FbmPath, HurstParameter, _hvalue, dyadic_step,
                   floor_steps, increment_autocovariance, sample_fbm_rows,
                   sample_fgn_rows)
 from .skeleton import killed_position, sample_exit_times
@@ -204,7 +204,7 @@ def sample_joint(hurst, level: int, t: float, seed: "int | SeedRecord") -> Joint
     and Z_t from its exact law given that grid with a normal from ("fbm", 1).
     """
     record = as_seed_record(seed)
-    h = HurstParameter(float(hurst) if not isinstance(hurst, HurstParameter) else hurst.value)
+    h = HurstParameter(_hvalue(hurst))
     a = dyadic_step(level)
     stream = KeyedPhilox()
     walk, y_t, half = _clock_draw(stream.at(record.derive("bm").philox_key()[0]), level, t)
@@ -230,11 +230,6 @@ class TaylorScheme:
 
     gammas: tuple
     remainder_order: int = 14
-
-    @property
-    def c(self) -> tuple:
-        """The free coefficients c_3..c_7."""
-        return self.gammas[2:]
 
     def gamma_floats(self) -> np.ndarray:
         return np.array([float(g) for g in self.gammas])
@@ -492,11 +487,12 @@ def _critical_lhs(cfg: VerifyConfig, level: int) -> np.ndarray:
     """Draws of f(Z_t) - f(0) + (kappa3/12) int_0^{Y_t} f'''(X) dW, one per
     replica r of the level, from ``SeedRecord(seed).derive("critical-lhs",
     level, r)``: Y_t from "bm", X from "fbm" and the correction's normal
-    from "wiener".
+    from "wiener".  X is one one-sided unit row of ``LHS_CELLS`` fGn
+    increments, summed from 0 and scaled by |Y_t|^H in place.
     """
     # In law, X over [Y_t, 0] is X over [0, |Y_t|], which is |Y_t|^H times
-    # X over [0, 1]; fGn is stationary, so the unit grid re-based at its left
-    # end is X on [0, 1], and Z_t is its last value (notes/decisions.md).
+    # X over [0, 1]: the cumulative sum from 0 of one unit row of fGn, whose
+    # last value is Z_t (notes/decisions.md).
     rec = SeedRecord(cfg.seed).derive("critical-lhs", level)
     reps = np.arange(cfg.replicas)
     stream = KeyedPhilox()
@@ -507,9 +503,11 @@ def _critical_lhs(cfg: VerifyConfig, level: int) -> np.ndarray:
     scale = np.array([abs(y) ** cfg.hurst for y in y_t])
     width = np.abs(y_t) / LHS_CELLS
     lhs = np.empty(cfg.replicas)
-    for index, unit in sample_fbm_rows(cfg.hurst, 1.0 / LHS_CELLS, LHS_CELLS // 2,
-                                       rec.philox_keys(reps, "fbm"), stream):
-        x = (unit - unit[:, :1]) * scale[index, None]
+    for index, inc in sample_fgn_rows(cfg.hurst, 1.0 / LHS_CELLS, LHS_CELLS,
+                                      rec.philox_keys(reps, "fbm"), stream):
+        x = np.zeros((len(inc), LHS_CELLS + 1))
+        np.cumsum(inc, axis=1, out=x[:, 1:])
+        x *= scale[index, None]
         corr = correction_std(cfg.f, x[:, :-1], width[index], cfg.kappa3) * normals[index]
         lhs[index] = cfg.f(x[:, -1]) - cfg.f(0.0) + corr
     return lhs

@@ -14,10 +14,11 @@ alike) form stationary fractional Gaussian noise with autocovariance
 
 Sampling
 --------
-Davies-Harte circulant embedding of the increment sequence, one-sided
-(``sample_fgn``) or across the whole two-sided grid
-(``sample_fbm_two_sided``), exact whenever the embedding spectrum is
-nonnegative.  The minimal embedding of fGn is nonnegative in exact
+Davies-Harte circulant embedding of the increment sequence, exact whenever
+the embedding spectrum is nonnegative.  There is one draw: keyed rows of
+one-sided fGn (``sample_fgn_rows``), summed into two-sided paths by
+``sample_fbm_rows``; ``sample_fgn`` and ``sample_fbm_two_sided`` are their
+one-key batches.  The minimal embedding of fGn is nonnegative in exact
 arithmetic (Dietrich & Newsam 1997); a spectrum negative beyond roundoff
 raises ``EmbeddingError`` naming (n, H).
 
@@ -188,20 +189,6 @@ def _embedding_weights(n_inc: int, hvalue: float) -> np.ndarray:
     return weights
 
 
-def _sample_fgn(rng: np.random.Generator, n_inc: int, hvalue: float,
-                size: int = 1) -> np.ndarray:
-    """``size`` rows of standardized fGn of length ``n_inc`` (exact law).
-
-    Raises EmbeddingError when the spectrum is negative beyond tolerance.
-    """
-    weights = _embedding_weights(n_inc, hvalue)
-    # Hermitian half-spectrum draw: W_0, W_n real; interior complex.
-    re = rng.standard_normal((size, n_inc + 1))
-    im = rng.standard_normal((size, n_inc - 1))
-    return _embed(re, im, weights, np.empty(re.shape, dtype=complex),
-                  np.empty((size, 2 * n_inc)))
-
-
 def _embed(re: np.ndarray, im: np.ndarray, weights: np.ndarray,
            spectrum: np.ndarray, out: np.ndarray) -> np.ndarray:
     """fGn rows from the normals of their half-spectra, one row per row of re.
@@ -223,13 +210,14 @@ def _embed(re: np.ndarray, im: np.ndarray, weights: np.ndarray,
 
 def _sample_fgn_rows(keys: np.ndarray, stream: KeyedPhilox, n_inc: int,
                      hvalue: float) -> Iterator[np.ndarray]:
-    """Standardized fGn, one row per Philox key, in chunks of rows.
+    """Standardized fGn, one row per Philox key, in chunks of rows: the one
+    Davies-Harte draw of the package.
 
-    Row i is ``_sample_fgn``'s size-1 draw from the generator at ``keys[i]``:
-    each row's normals come from its own stream in the same order, and one
-    embedding and ``irfft`` call serve a chunk.  The working arrays are
-    allocated once and every chunk is a view into them, valid until the
-    next chunk is drawn.
+    Row i takes 2 n_inc normals from the generator at ``keys[i]``: the real
+    parts of the half-spectrum (n_inc + 1) and then its interior imaginary
+    parts (n_inc - 1).  One embedding and ``irfft`` call serve a chunk.  The
+    working arrays are allocated once and every chunk is a view into them,
+    valid until the next chunk is drawn.
     """
     weights = _embedding_weights(n_inc, hvalue)
     rows = max(1, min(len(keys), _BATCH_BYTES // (72 * n_inc)))
@@ -318,27 +306,21 @@ def _check_positive_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
-def _scaled_fgn(h: HurstParameter, spacing: float, n_inc: int,
-                record: SeedRecord) -> np.ndarray:
-    """fGn increments at ``spacing`` from the record's stream."""
-    return _sample_fgn(record.generator(), n_inc, h.value)[0] * spacing**h.value
-
-
 def sample_fgn(hurst, spacing: float, n_inc: int,
                seed: "int | SeedRecord") -> np.ndarray:
     """Exact one-sided fGn: the ``n_inc`` increments of fBm at ``spacing``.
 
     Entry ``k`` is ``X((k+1) spacing) - X(k spacing)``; for ``n_inc == 0``
-    the result is empty and nothing is drawn.
+    the result is empty and nothing is drawn.  The draw is the one-key batch
+    of ``sample_fgn_rows`` on the record's Philox key.
     """
-    h = HurstParameter(_hvalue(hurst))
-    _check_positive_finite("spacing", spacing)
-    n_inc = int(n_inc)
-    if n_inc < 0:
-        raise ValueError(f"n_inc must be >= 0, got {n_inc}")
-    if n_inc == 0:
+    if _row_sizes("n_inc", n_inc, least=0) == 0:
+        _hvalue(hurst)
+        _check_positive_finite("spacing", spacing)
         return np.empty(0)
-    return _scaled_fgn(h, spacing, n_inc, as_seed_record(seed))
+    ((_, rows),) = sample_fgn_rows(hurst, spacing, n_inc,
+                                   as_seed_record(seed).philox_key(), KeyedPhilox())
+    return rows[0].copy()
 
 
 def _two_sided(inc: np.ndarray, half_extent: int) -> np.ndarray:
@@ -354,16 +336,15 @@ def sample_fbm_two_sided(hurst, spacing: float, half_extent: int,
                          seed: "int | SeedRecord") -> FbmPath:
     """Exact two-sided fBm path; deterministic given the seed record.
 
-    The values are the cumulative sum of ``sample_fgn`` over
-    ``2 * half_extent`` increments, re-based at the middle of the grid.
+    The one-key batch of ``sample_fbm_rows``: the cumulative sum of
+    ``sample_fgn`` over ``2 * half_extent`` increments, re-based at the
+    middle of the grid.
     """
-    h = HurstParameter(_hvalue(hurst))
-    _check_positive_finite("spacing", spacing)
-    half_extent = int(_row_sizes("half_extent", half_extent))
     record = as_seed_record(seed)
-    values = _two_sided(_scaled_fgn(h, spacing, 2 * half_extent, record), half_extent)
-    return FbmPath(hurst=h, spacing=float(spacing), half_extent=half_extent,
-                   values=values, seed_record=record)
+    ((_, rows),) = sample_fbm_rows(hurst, spacing, half_extent, record.philox_key(),
+                                   KeyedPhilox())
+    return FbmPath(hurst=HurstParameter(_hvalue(hurst)), spacing=float(spacing),
+                   half_extent=int(half_extent), values=rows[0], seed_record=record)
 
 
 def sample_fbm_rows(hurst, spacing: float, half_extent, keys: np.ndarray,
@@ -371,9 +352,8 @@ def sample_fbm_rows(hurst, spacing: float, half_extent, keys: np.ndarray,
     """Two-sided fBm paths, one per Philox key, in batches ``(index, rows)``.
 
     The batches of ``sample_fgn_rows`` over ``2 * half_extent`` increments,
-    each row summed into a new path of ``2 * half + 1`` values that equals
-    ``sample_fbm_two_sided(hurst, spacing, half, record).values``, bit for
-    bit, for the record whose Philox key is ``keys[index[j]]``.
+    each row summed into a new path of ``2 * half + 1`` values, re-based to
+    0 at index ``half``.
     """
     halves = _row_sizes("half_extent", half_extent)
     for index, inc in sample_fgn_rows(hurst, spacing, 2 * halves, keys, stream):
@@ -384,12 +364,14 @@ def sample_fgn_rows(hurst, spacing: float, n_inc, keys: np.ndarray,
                     stream: KeyedPhilox) -> Iterator[tuple]:
     """One-sided fGn rows, one per Philox key, in batches ``(index, rows)``.
 
-    ``n_inc`` is one size for all keys or one per key.  Row j equals
-    ``sample_fgn(hurst, spacing, n, record)``, bit for bit, for the record
-    whose Philox key is ``keys[index[j]]`` and its size n; each key is in one
-    batch.  Keys are drawn by size, smallest first, in chunks whose embedding
-    and ``irfft`` run in one call on about ``_BATCH_BYTES`` of working arrays
-    allocated once per size: ``rows`` is valid until the next batch is drawn.
+    ``n_inc`` is one size for all keys or one per key.  Row j is the draw of
+    ``_sample_fgn_rows`` at the Philox key ``keys[index[j]]`` and its size,
+    times ``spacing**H``: it depends on that key alone, so a record's row is
+    the same in every batch it is drawn in, and ``sample_fgn`` is the
+    one-key batch.  Each key is in one batch.  Keys are drawn by size,
+    smallest first, in chunks whose embedding and ``irfft`` run in one call
+    on about ``_BATCH_BYTES`` of working arrays allocated once per size:
+    ``rows`` is valid until the next batch is drawn.
     """
     h = HurstParameter(_hvalue(hurst))
     _check_positive_finite("spacing", spacing)
@@ -404,11 +386,13 @@ def sample_fgn_rows(hurst, spacing: float, n_inc, keys: np.ndarray,
             start += len(fgn)
 
 
-def _row_sizes(name: str, sizes) -> np.ndarray:
-    """Row sizes as int64, rejecting any that is not an integer >= 1."""
-    out = np.asarray(sizes).astype(np.int64)
-    if (out != sizes).any() or (out < 1).any():
-        raise ValueError(f"each {name} must be an integer >= 1, got {sizes}")
+def _row_sizes(name: str, sizes, least: int = 1) -> np.ndarray:
+    """Row sizes as int64, rejecting any that is not an integer >= ``least``
+    (booleans included, as ``stats.is_integral`` does)."""
+    given = np.asarray(sizes)
+    out = given.astype(np.int64)
+    if given.dtype == bool or (out != given).any() or (out < least).any():
+        raise ValueError(f"each {name} must be an integer >= {least}, got {sizes}")
     return out
 
 

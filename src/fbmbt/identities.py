@@ -80,10 +80,10 @@ def hermite_decomposition(seed: int):
         for r in (1, 2, 3):
             for i in range(50):
                 rec = base.derive("replica", n, r, i)
-                sk = sample_walk_exact(n, 2**n, rec)
+                sk = sample_walk_exact(n, 2**n, rec, with_times=False)
                 reach = int(np.max(np.abs(sk.walk))) + 2
                 x = sample_fbm_two_sided(0.3, dyadic_step(n), reach, rec.derive("fbm"))
-                lhs, rhs = decompose_variation(sine(), x, crossing_counts(sk, 1.0))[2 * r - 1]
+                lhs, rhs = decompose_variation(sine(), x, crossing_counts(sk, 1.0), 2 * r - 1)
                 yield abs(lhs - rhs), _ident_tol(lhs, rhs), f"n={n}, r={r}, i={i}"
 
 

@@ -28,7 +28,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .fgn import dyadic_step, floor_steps
+from .fgn import floor_steps
 from .streams import SeedRecord, as_seed_record
 
 __all__ = [
@@ -86,10 +86,6 @@ class SkeletalStructure:
     @property
     def n_steps(self) -> int:
         return len(self.walk) - 1
-
-    def positions(self) -> np.ndarray:
-        """Walk positions in real units, j * 2^{-level/2}."""
-        return self.walk * dyadic_step(self.level)
 
 
 @dataclass(frozen=True)

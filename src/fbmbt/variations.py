@@ -329,24 +329,20 @@ def weighted_hermite_variation(f: SmoothFunction, x_grid: FbmPath, level: int,
 
 
 def decompose_variation(f: SmoothFunction, x_grid: FbmPath,
-                        counts: CrossingCounts) -> dict:
-    """Both sides of the Hermite decomposition of V_n^{(2r-1)}, r = 1..3.
+                        counts: CrossingCounts, order: int) -> tuple:
+    """Both sides of the Hermite decomposition of V_n^{(order)}, order = 2r-1.
 
-    Returns {order: (direct_cell_sum, hermite_recombination)} evaluated on
-    the same inputs; used by identity tests and the self-test command.
+    Returns (direct_cell_sum, hermite_recombination) evaluated on the same
+    inputs; used by the identity check C2 and its tests.
     """
+    lhs = symmetric_variation_skeletal(f, x_grid, counts, order)
+    r = (order + 1) // 2
     n = counts.level
-    h = x_grid.hurst.value
     ystar = counts.terminal * dyadic_step(n)
-    out = {}
-    for r in (1, 2, 3):
-        order = 2 * r - 1
-        lhs = symmetric_variation_skeletal(f, x_grid, counts, order)
-        coeffs = odd_power_hermite_coeffs(r)
-        scale = 2.0 ** (-n * h * (r - 0.5))
-        rhs = scale * math.fsum(
-            coeffs[l - 1] * weighted_hermite_variation(f, x_grid, n, 2 * l - 1, ystar)
-            for l in range(1, r + 1)
-        )
-        out[order] = (lhs, rhs)
-    return out
+    coeffs = odd_power_hermite_coeffs(r)
+    scale = 2.0 ** (-n * x_grid.hurst.value * (r - 0.5))
+    rhs = scale * math.fsum(
+        coeffs[l - 1] * weighted_hermite_variation(f, x_grid, n, 2 * l - 1, ystar)
+        for l in range(1, r + 1)
+    )
+    return lhs, rhs

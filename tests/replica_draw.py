@@ -79,9 +79,8 @@ def supercritical_pair(cfg, level, rec):
 def critical_lhs(cfg, rec):
     """One draw of f(Z_t) - f(0) + (kappa3/12) int_0^{Y_t} f'''(X) dW."""
     y_t = math.sqrt(cfg.t) * float(rec.derive("bm").generator().standard_normal())
-    unit = sample_fbm_two_sided(cfg.hurst, 1.0 / LHS_CELLS, LHS_CELLS // 2,
-                                rec.derive("fbm")).values
-    x = (unit - unit[0]) * abs(y_t) ** cfg.hurst
+    unit = sample_fgn(cfg.hurst, 1.0 / LHS_CELLS, LHS_CELLS, rec.derive("fbm"))
+    x = np.concatenate([[0.0], np.cumsum(unit)]) * abs(y_t) ** cfg.hurst
     g = float(rec.derive("wiener").generator().standard_normal())
     f3 = np.asarray(cfg.f.derivative(3)(x[:-1]), dtype=float)
     std = (cfg.kappa3 / 12.0) * math.sqrt(abs(y_t) / LHS_CELLS

@@ -427,14 +427,6 @@ class TestWalkEndDraw:
             self, monkeypatch, branch, hurst, level):
         cfg = VerifyConfig(hurst=hurst, f=sine(), t=1.0, levels=(level,),
                            replicas=120, seed=61)
-        requested = []
-        draw = fgn_mod._sample_fgn_rows
-
-        def recording(keys, stream, n_inc, hvalue):
-            requested.extend((k.tobytes(), n_inc) for k in keys)
-            return draw(keys, stream, n_inc, hvalue)
-
-        monkeypatch.setattr(fgn_mod, "_sample_fgn_rows", recording)
         role = "subcritical" if branch == "subcritical" else "critical-rhs"
         rec = SeedRecord(61).derive(role, level)
         replica_of = {k.tobytes(): rep for rep, k in
@@ -444,6 +436,15 @@ class TestWalkEndDraw:
             jstar, _ = walk_end_and_x(cfg, level, rec.derive(rep))
             if jstar:
                 ends[rep] = abs(jstar)
+        # recorded from here on: the oracle's own draws above are rows too
+        requested = []
+        draw = fgn_mod._sample_fgn_rows
+
+        def recording(keys, stream, n_inc, hvalue):
+            requested.extend((k.tobytes(), n_inc) for k in keys)
+            return draw(keys, stream, n_inc, hvalue)
+
+        monkeypatch.setattr(fgn_mod, "_sample_fgn_rows", recording)
         run = {"subcritical": _branch_subcritical_level,
                "critical": _branch_critical_level}[branch]
         run(cfg, level)

@@ -13,7 +13,7 @@ from fbmbt.fgn import (BmPath, EmbeddingError, FbmPath, HurstParameter,
                        coarsen, dyadic_step, fbm_covariance, floor_steps,
                        increment_autocovariance, read_path, sample_bm,
                        sample_fbm_rows, sample_fbm_two_sided, sample_fgn,
-                       sample_fgn_rows, write_path, write_path_csv, _sample_fgn)
+                       sample_fgn_rows, write_path, write_path_csv)
 from fbmbt.streams import KeyedPhilox, SeedRecord
 
 
@@ -39,6 +39,15 @@ def _old_sample_fgn_embedding(rng, n_inc, hvalue, size=1):
     fgn = np.fft.irfft(w, n=two_n, axis=1)[:, :n_inc]
     fgn *= np.sqrt(two_n)
     return fgn
+
+
+def _keyed_rows(h, spacing, n_inc, record, reps):
+    """``reps`` rows of ``sample_fgn_rows``, row r on the key of record.derive(r)."""
+    out = np.empty((reps, n_inc))
+    keys = record.philox_keys(range(reps))
+    for index, rows in sample_fgn_rows(h, spacing, n_inc, keys, KeyedPhilox()):
+        out[index] = rows
+    return out
 
 
 @pytest.fixture
@@ -216,14 +225,14 @@ class TestFbmSampler:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             sample_fbm_two_sided(0.3, -0.1, 16, seed=0)
-        with pytest.raises(ValueError):
-            sample_fbm_two_sided(0.3, 0.1, 0, seed=0)
+        for half in (0, 2.5, True):
+            with pytest.raises(ValueError, match="half_extent"):
+                sample_fbm_two_sided(0.3, 0.1, half, seed=0)
 
     def test_bm_increment_covariance_is_identity(self):
         # H = 1/2: increments i.i.d.; empirical covariance vs identity, 3 SE
         reps, dim = 100_000, 8
-        rng = SeedRecord(11).generator()
-        fgn = _sample_fgn(rng, dim, 0.5, size=reps)
+        fgn = _keyed_rows(0.5, 1.0, dim, SeedRecord(11), reps)
         emp = (fgn.T @ fgn) / reps
         se = np.sqrt((1.0 + np.eye(dim)) / reps)
         assert np.all(np.abs(emp - np.eye(dim)) <= 3.2 * se + 1e-12)
@@ -232,9 +241,7 @@ class TestFbmSampler:
     def test_value_covariance_matches_kernel(self, h):
         # full two-sided value covariance vs C_H on a small grid, 4 SE
         half, spacing, reps = 8, 0.25, 120_000
-        rng = SeedRecord(12).generator()
-        fgn = _sample_fgn(rng, 2 * half, h, size=reps)
-        inc = fgn * spacing**h
+        inc = _keyed_rows(h, spacing, 2 * half, SeedRecord(12), reps)
         cs = np.concatenate([np.zeros((reps, 1)), np.cumsum(inc, axis=1)], axis=1)
         values = cs - cs[:, half:half + 1]
         times = (np.arange(2 * half + 1) - half) * spacing
@@ -248,16 +255,11 @@ class TestFbmSampler:
         # Var X_1 = 1 for any H; 10^4 replicas, 3 SE of the variance estimate
         h, spacing, half = 0.3, 2.0**-8, 2**10
         reps = 10_000
-        rng = SeedRecord(13).generator()
         idx = int(round(1.0 / spacing))
         vals = np.empty(reps)
-        done = 0
-        while done < reps:
-            chunk = min(1000, reps - done)
-            fgn = _sample_fgn(rng, 2 * half, h, size=chunk)
-            inc = fgn[:, half:half + idx] * spacing**h
-            vals[done:done + chunk] = np.sum(inc, axis=1)
-            done += chunk
+        keys = SeedRecord(13).philox_keys(range(reps))
+        for index, inc in sample_fgn_rows(h, spacing, 2 * half, keys, KeyedPhilox()):
+            vals[index] = np.sum(inc[:, half:half + idx], axis=1)
         var = vals.var(ddof=1)
         assert abs(var - 1.0) <= 3 * np.sqrt(2.0 / reps)
 
@@ -283,21 +285,23 @@ class TestEmbeddingKernel:
     @pytest.mark.parametrize("h", [0.1, 1 / 6, 0.35, 0.75])
     @pytest.mark.parametrize("n_inc", [1, 2, 3, 7, 16, 255, 256, 2**13, 2**14])
     def test_rows_match_uncached_kernel(self, n_inc, h):
-        for size in (1, 3):
-            seed = SeedRecord(40).derive("fbm", n_inc, size)
-            new = _sample_fgn(seed.generator(), n_inc, h, size)
-            old = _old_sample_fgn_embedding(seed.generator(), n_inc, h, size)
-            assert new.shape == (size, n_inc)
-            np.testing.assert_array_equal(new, old)
+        # at spacing 1 the scale is 1.0: sample_fgn and every keyed row are
+        # the verbatim kernel's draw from their own record's generator
+        rec = SeedRecord(40).derive("fbm", n_inc)
+        new = sample_fgn(h, 1.0, n_inc, rec)
+        old = _old_sample_fgn_embedding(rec.generator(), n_inc, h)
+        assert new.shape == (n_inc,) and new.flags.owndata
+        np.testing.assert_array_equal(new, old[0])
+        rows = _keyed_rows(h, 1.0, n_inc, SeedRecord(40), 3)
+        for rep, row in enumerate(rows):
+            old = _old_sample_fgn_embedding(SeedRecord(40).derive(rep).generator(), n_inc, h)
+            np.testing.assert_array_equal(row, old[0])
 
     def test_defective_spectrum_raises(self, defective_spectrum):
         # every sampler has the one embedding path, and the error names (n, H)
-        rng = SeedRecord(41).generator()
         keys = SeedRecord(41).philox_keys(np.arange(3))
         for n_inc in (8, 16):
             match = rf"eigenvalue .* n={n_inc}, H=0\.3;"
-            with pytest.raises(EmbeddingError, match=match):
-                _sample_fgn(rng, n_inc, 0.3)
             with pytest.raises(EmbeddingError, match=match):
                 sample_fgn(0.3, 0.1, n_inc, seed=5)
             with pytest.raises(EmbeddingError, match=match):
@@ -327,7 +331,7 @@ class TestBatchedRows:
                                            n_inc, h)
         assert rows.shape == (len(reps), n_inc)
         for rep, row in zip(reps.tolist(), rows):
-            single = _sample_fgn(rec.derive(rep).generator(), n_inc, h, 1)
+            single = _old_sample_fgn_embedding(rec.derive(rep).generator(), n_inc, h)
             np.testing.assert_array_equal(row, single[0])
 
     @pytest.mark.parametrize("batch_bytes, half", [
@@ -412,6 +416,7 @@ class TestBatchedRows:
     def test_rejects_bad_arguments(self):
         keys = SeedRecord(56).philox_keys(np.arange(2))
         for args in ((0.3, 0.0, 4), (0.3, 0.1, 0), (1.0, 0.1, 4), (0.3, 0.1, 2.5),
+                     (0.3, 0.1, True), (0.3, 0.1, np.array([True, True])),
                      (0.3, 0.1, np.array([4, 0])), (0.3, 0.1, np.array([4, 4, 4]))):
             with pytest.raises(ValueError):
                 next(sample_fbm_rows(*args, keys, KeyedPhilox()))
@@ -434,11 +439,10 @@ class TestOneSidedFgn:
 
     @pytest.mark.parametrize("h", [0.1, 1 / 6, 0.35, 0.75])
     def test_autocovariance_matches_rho(self, h):
-        # E[inc_i inc_j] = spacing^{2H} rho(i - j), 4 SE per entry
+        # E[inc_i inc_j] = spacing^{2H} rho(i - j), 4 SE per entry; row r is
+        # sample_fgn(h, spacing, n_inc, SeedRecord(51).derive("fbm", r))
         reps, n_inc, spacing = 20_000, 6, 0.25
-        base = SeedRecord(51)
-        rows = np.array([sample_fgn(h, spacing, n_inc, base.derive("fbm", r))
-                         for r in range(reps)])
+        rows = _keyed_rows(h, spacing, n_inc, SeedRecord(51).derive("fbm"), reps)
         lags = np.arange(n_inc)[:, None] - np.arange(n_inc)[None, :]
         expected = spacing ** (2 * h) * increment_autocovariance(lags, h)
         emp = (rows.T @ rows) / reps
@@ -447,18 +451,20 @@ class TestOneSidedFgn:
         assert np.all(np.abs(emp - expected) <= 4 * se)
 
     def test_empty_draw_uses_no_stream(self, monkeypatch):
-        def no_draw(self):
+        def no_draw(self, *args):
             raise AssertionError("a zero-length draw opened a generator")
 
         monkeypatch.setattr(SeedRecord, "generator", no_draw)
+        monkeypatch.setattr(KeyedPhilox, "at", no_draw)
         inc = sample_fgn(0.3, 0.1, 0, SeedRecord(52))
         assert inc.shape == (0,)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="spacing"):
             sample_fgn(0.3, 0.0, 4, seed=0)
-        with pytest.raises(ValueError, match="n_inc"):
-            sample_fgn(0.3, 0.1, -1, seed=0)
+        for n_inc in (-1, 2.5, True):
+            with pytest.raises(ValueError, match="n_inc"):
+                sample_fgn(0.3, 0.1, n_inc, seed=0)
         with pytest.raises(ValueError, match="Hurst"):
             sample_fgn(1.0, 0.1, 4, seed=0)
 
