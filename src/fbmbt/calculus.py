@@ -39,7 +39,7 @@ from .fgn import (ExtentError, FbmPath, HurstParameter, _hvalue, dyadic_step,
 from .skeleton import killed_position, sample_exit_times
 from .stats import (PerLevelReport, SampleSummary, check_layout,
                     fit_log2_slope, is_integral, ks_two_sample, variance_stderr)
-from .streams import KeyedPhilox, SeedRecord, as_seed_record
+from .streams import KeyedPhilox, SeedRecord, as_seed_record, one_key
 from .variations import SmoothFunction, _cell_sum
 
 __all__ = [
@@ -116,49 +116,82 @@ def _pow2_at_least(x):
 
 
 @lru_cache(maxsize=8)
-def _increment_precision(m: int, hvalue: float) -> np.ndarray:
-    """Read-only inverse of the covariance rho(|i - k|) of 2m unit fGn steps."""
-    rho = increment_autocovariance(np.arange(2 * m), hvalue)
-    # rho(|i - k|) as a view of [rho(2m-1), ..., rho(1), rho(0), ..., rho(2m-1)];
-    # an |i - k| index matrix would add about 2 MB to the peak at 2m = 512
-    both_sides = np.concatenate([rho[:0:-1], rho])
-    covariance = np.lib.stride_tricks.sliding_window_view(both_sides, 2 * m)[::-1]
-    precision = np.linalg.inv(covariance)
-    precision.setflags(write=False)
-    return precision
+def _increment_spectra(m: int, hvalue: float) -> tuple:
+    """x_0 and the read-only rffts, of length 4m, of x and of its shifted
+    reverse (0, x_{2m-1}, ..., x_1), x the first column of the inverse of
+    the covariance rho(|i - k|) of 2m unit fGn steps.
+
+    x comes from Durbin's recursion in O(m) memory; notes/decisions.md.
+    """
+    n = 2 * m
+    r = increment_autocovariance(np.arange(1, n), hvalue)
+    # y solves the order-k Yule-Walker system rho(|i - j|) y = -r[:k] and
+    # beta is its prediction error; at order n - 1, x = (1, y) / beta
+    y = np.empty(n - 1)
+    y[0] = alpha = -r[0]
+    beta = 1.0
+    for k in range(1, n - 1):
+        beta *= 1.0 - alpha * alpha
+        alpha = -(r[k] + np.einsum("i,i", r[k - 1::-1], y[:k])) / beta
+        y[:k] += alpha * y[k - 1::-1]
+        y[k] = alpha
+    beta *= 1.0 - alpha * alpha
+    x = np.concatenate([[1.0], y]) / beta
+    spectra = np.fft.rfft([x, np.concatenate([[0.0], x[:0:-1]])], n=2 * n)
+    spectra.setflags(write=False)
+    return float(x[0]), spectra
+
+
+def _increment_solve(c: np.ndarray, hvalue: float) -> np.ndarray:
+    """Rows w solving rho(|i - k|) w = c, one per row c of 2m entries.
+
+    By the Gohberg-Semencul formula, x_0 rho^{-1} = L(x) L(x)^T - L(xb)
+    L(xb)^T, L(v) the lower-triangular Toeplitz matrix with first column v
+    and xb the shifted reverse of x (``_increment_spectra``).  The four
+    triangular products are a correlation and a convolution, exact at
+    length 4m; the pair of products is stacked, so all rows take four FFT
+    calls.
+    """
+    n = c.shape[-1]
+    x0, spectra = _increment_spectra(n // 2, hvalue)
+    u = np.fft.irfft(spectra.conj()[:, None] * np.fft.rfft(c, n=2 * n), n=2 * n)[..., :n]
+    both = spectra[:, None] * np.fft.rfft(u, n=2 * n)
+    return np.fft.irfft(both[0] - both[1], n=2 * n)[:, :n] / x0
 
 
 def _x_conditional(values: np.ndarray, spacing: float, hvalue: float,
-                   y: float) -> tuple:
-    """Mean and std of X(y) given every increment of the two-sided grid
-    ``values`` (spacing ``spacing``, time zero in the middle).
+                   y) -> tuple:
+    """Means and stds of X(y) given every increment of two-sided grids.
+
+    ``values`` holds rows of 2M + 1 grid values (spacing ``spacing``, time
+    zero in the middle), shape (k, 2M + 1), and ``y`` one clock value per
+    row; the result is k means and k stds.  A single row and a scalar y
+    give 0-d arrays.  Row r of a k-row call is the one-row call on row r,
+    bit for bit, and no call depends on the BLAS thread count.
 
     In grid units (s = y/spacing, r = floor(s)) the standardized increment
     X(s) - X(r) has covariance c_k with the k-th grid increment and variance
     (s - r)^{2H}; the increments have the Toeplitz covariance rho(0..2M-1),
-    whose inverse depends on (M, H) only and is cached.
-    notes/decisions.md has the derivation.
+    solved against c by ``_increment_solve``.  notes/decisions.md has the
+    derivation.
     """
     h2 = 2.0 * hvalue
-    m = len(values) // 2
-    s = y / spacing
-    r = math.floor(s)
+    values = np.asarray(values)
+    rows = values.reshape(-1, values.shape[-1])
+    m = rows.shape[1] // 2
+    s = np.reshape(y, -1) / spacing
+    r = np.floor(s)
     # c_k = (g(p_k) - g(q_k))/2 on the grid points p_k = k - M, q_k = p_k + 1;
     # it is exactly 0 when s == r, so an on-grid y gives the grid value
     u = np.arange(-m, m + 1, dtype=float)
-    g = np.abs(s - u) ** h2 - np.abs(r - u) ** h2
-    c = 0.5 * (g[:-1] - g[1:])
-    w = _increment_precision(m, hvalue) @ c
-    mean = float(values[r + m]) + float(w @ np.diff(values))
-    std = spacing ** hvalue * math.sqrt(max((s - r) ** h2 - float(w @ c), 0.0))
-    return mean, std
-
-
-def _z_at(values: np.ndarray, spacing: float, hvalue: float, y_t: float,
-          normal: float) -> float:
-    """Z_t = X(Y_t) given the grid: the conditional mean plus std * normal."""
-    mean, std = _x_conditional(values, spacing, hvalue, y_t)
-    return mean + std * normal
+    g = np.abs(s[:, None] - u) ** h2 - np.abs(r[:, None] - u) ** h2
+    c = 0.5 * (g[:, :-1] - g[:, 1:])
+    w = _increment_solve(c, hvalue)
+    grid = rows[np.arange(len(rows)), r.astype(np.int64) + m]
+    mean = grid + np.einsum("ij,ij->i", w, np.diff(rows))
+    var = (s - r) ** h2 - np.einsum("ij,ij->i", w, c)
+    std = spacing ** hvalue * np.sqrt(np.maximum(var, 0.0))
+    return mean.reshape(values.shape[:-1]), std.reshape(values.shape[:-1])
 
 
 def _clock_draw(clock: np.random.Generator, level: int, t: float) -> tuple:
@@ -206,14 +239,15 @@ def sample_joint(hurst, level: int, t: float, seed: "int | SeedRecord") -> Joint
     record = as_seed_record(seed)
     h = HurstParameter(_hvalue(hurst))
     a = dyadic_step(level)
-    stream = KeyedPhilox()
+    stream = one_key()
     walk, y_t, half = _clock_draw(stream.at(record.derive("bm").philox_key()[0]), level, t)
     normal = float(stream.at(record.derive("fbm", 1).philox_key()[0]).standard_normal())
     ((_, rows),) = sample_fbm_rows(h, a, half, record.derive("fbm").philox_key(), stream)
+    mean, std = _x_conditional(rows, a, h.value, [y_t])
     x = FbmPath(hurst=h, spacing=a, half_extent=int(half), values=rows[0],
                 seed_record=record.derive("fbm"))
     return JointSample(x=x, walk=walk, level=level, seed_record=record,
-                       t=float(t), y_t=y_t, z_t=_z_at(x.values, a, h.value, y_t, normal))
+                       t=float(t), y_t=y_t, z_t=float(mean[0] + std[0] * normal))
 
 
 # ---------------------------------------------------------------------------
@@ -427,16 +461,17 @@ def _supercritical_pairs(cfg: VerifyConfig, level: int) -> tuple:
     for rep, key in enumerate(rec.philox_keys(reps, "bm")):
         walk, y_t[rep], halves[rep] = _clock_draw(stream.at(key), level, cfg.t)
         terminal[rep] = walk[-1]
-    normals = [float(stream.at(k).standard_normal())
-               for k in rec.philox_keys(reps, "fbm", 1)]
+    normals = np.array([stream.at(k).standard_normal()
+                        for k in rec.philox_keys(reps, "fbm", 1)])
     a = dyadic_step(level)
     res = np.empty(cfg.replicas)
     res_end = np.empty(cfg.replicas)
     for index, rows in sample_fbm_rows(cfg.hurst, a, halves, rec.philox_keys(reps, "fbm"),
                                        stream):
-        for rep, row in zip(index.tolist(), rows):
-            z_t = _z_at(row, a, cfg.hurst, float(y_t[rep]), normals[rep])
-            res[rep], res_end[rep] = _residual_pair(cfg.f, row, int(terminal[rep]), z_t)
+        mean, std = _x_conditional(rows, a, cfg.hurst, y_t[index])
+        z_t = mean + std * normals[index]
+        for rep, row, z in zip(index.tolist(), rows, z_t.tolist()):
+            res[rep], res_end[rep] = _residual_pair(cfg.f, row, int(terminal[rep]), z)
     return res, res_end
 
 

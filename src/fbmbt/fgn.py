@@ -37,7 +37,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .streams import KeyedPhilox, SeedRecord, as_seed_record
+from .streams import KeyedPhilox, SeedRecord, as_seed_record, one_key
 
 __all__ = [
     "CRITICAL_HURST",
@@ -319,7 +319,7 @@ def sample_fgn(hurst, spacing: float, n_inc: int,
         _check_positive_finite("spacing", spacing)
         return np.empty(0)
     ((_, rows),) = sample_fgn_rows(hurst, spacing, n_inc,
-                                   as_seed_record(seed).philox_key(), KeyedPhilox())
+                                   as_seed_record(seed).philox_key(), one_key())
     return rows[0].copy()
 
 
@@ -342,7 +342,7 @@ def sample_fbm_two_sided(hurst, spacing: float, half_extent: int,
     """
     record = as_seed_record(seed)
     ((_, rows),) = sample_fbm_rows(hurst, spacing, half_extent, record.philox_key(),
-                                   KeyedPhilox())
+                                   one_key())
     return FbmPath(hurst=HurstParameter(_hvalue(hurst)), spacing=float(spacing),
                    half_extent=int(half_extent), values=rows[0], seed_record=record)
 

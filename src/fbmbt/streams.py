@@ -17,6 +17,7 @@ a record's draws are the same (notes/decisions.md).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -194,6 +195,12 @@ class KeyedPhilox:
     new ``Philox`` seeded from a ``SeedSequence`` starts in, so the returned
     generator draws what ``generator()`` of the record with that Philox key
     would draw.  The generator is shared: each ``at`` call restarts it.
+
+    ``one_key()`` is the instance the one-key draws (``sample_fgn``,
+    ``sample_fbm_two_sided``, ``sample_joint``) share, which saves building
+    and seeding one per call; a draw at one key leaves no state behind that
+    another draw reads.  It is for single-threaded use.  Loops over many
+    keys keep their own instance.
     """
 
     def __init__(self):
@@ -215,6 +222,12 @@ class KeyedPhilox:
         self._state["state"]["key"] = key.tolist()
         self._bits.state = self._state
         return self._generator
+
+
+@lru_cache(maxsize=1)
+def one_key() -> KeyedPhilox:
+    """The ``KeyedPhilox`` shared by the one-key draws, built on first use."""
+    return KeyedPhilox()
 
 
 def as_seed_record(seed: "int | SeedRecord") -> SeedRecord:

@@ -59,7 +59,7 @@ def joint_sample(hurst, level, t, rec):
     need = max(walk_reach * a, abs(y_t) + 2 * a, 4 * a)
     x = sample_fbm_two_sided(hurst, a, _pow2_at_least(need / a), rec.derive("fbm"))
     mean, std = _x_conditional(x.values, x.spacing, x.hurst.value, y_t)
-    z_t = mean + std * float(rec.derive("fbm", 1).generator().standard_normal())
+    z_t = float(mean + std * rec.derive("fbm", 1).generator().standard_normal())
     return walk, y_t, x, z_t, done == n_steps
 
 

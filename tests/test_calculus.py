@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -295,6 +299,26 @@ class TestVerifyBranch:
                                     replicas=50, seed=4, workers=4)
             assert verify_branch(branch, base).body_dict() == \
                 verify_branch(branch, threaded).body_dict()
+
+    def test_supercritical_body_independent_of_blas_threads(self):
+        # level 12 at seed 3 draws X grids of 128 and 256 cells; a BLAS
+        # matrix-vector product of that size sums in an order that depends
+        # on the thread count
+        script = ("import json; from fbmbt.calculus import VerifyConfig, verify_branch; "
+                  "from fbmbt.variations import sine; "
+                  "cfg = VerifyConfig(hurst=0.35, f=sine(), t=1.0, levels=(12,), "
+                  "replicas=4, seed=3); "
+                  "print(json.dumps(verify_branch('supercritical', cfg).body_dict()))")
+        src = str(Path(calculus_mod.__file__).resolve().parents[1])
+        bodies = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads)
+            env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"]
+                                       if env.get("PYTHONPATH") else "")
+            bodies.append(subprocess.run([sys.executable, "-c", script], env=env, text=True,
+                                         capture_output=True, check=True).stdout)
+        assert bodies[0] == bodies[1]
 
     def test_subcritical_report_has_slope(self):
         cfg = VerifyConfig(hurst=0.1, f=sine(), t=1.0, levels=(4, 6, 8),

@@ -14,7 +14,7 @@ from fbmbt.fgn import (BmPath, EmbeddingError, FbmPath, HurstParameter,
                        increment_autocovariance, read_path, sample_bm,
                        sample_fbm_rows, sample_fbm_two_sided, sample_fgn,
                        sample_fgn_rows, write_path, write_path_csv)
-from fbmbt.streams import KeyedPhilox, SeedRecord
+from fbmbt.streams import KeyedPhilox, SeedRecord, one_key
 
 
 def _old_sample_fgn_embedding(rng, n_inc, hvalue, size=1):
@@ -412,6 +412,25 @@ class TestBatchedRows:
                 seen.append(i)
         assert sorted(seen) == list(range(len(sizes)))
         assert min(chunks_of[8], chunks_of[32]) > 1
+
+    def test_one_key_draw_between_batches_keeps_the_rows(self, monkeypatch):
+        # the iteration draws from the shared one-key stream itself; chunks of
+        # 4 rows of 8 and 2 rows of 16 increments give three batches, and a
+        # sample_fgn between them re-keys that stream
+        monkeypatch.setattr(fgn_mod, "_BATCH_BYTES", 72 * 16 * 2)
+        sizes = np.array([16, 8, 16, 16, 8, 16])
+        keys = SeedRecord(61).philox_keys(np.arange(len(sizes)), "fbm")
+        one = sample_fgn(0.35, 0.25, 16, seed=62)
+        expected = [(index, rows.copy()) for index, rows in
+                    sample_fgn_rows(0.35, 0.25, sizes, keys, KeyedPhilox())]
+        got = []
+        for index, rows in sample_fgn_rows(0.35, 0.25, sizes, keys, one_key()):
+            got.append((index, rows.copy()))
+            np.testing.assert_array_equal(sample_fgn(0.35, 0.25, 16, seed=62), one)
+        assert len(got) == 3
+        for (i_got, r_got), (i_exp, r_exp) in zip(got, expected):
+            np.testing.assert_array_equal(i_got, i_exp)
+            np.testing.assert_array_equal(r_got, r_exp)
 
     def test_rejects_bad_arguments(self):
         keys = SeedRecord(56).philox_keys(np.arange(2))

@@ -14,24 +14,36 @@ _coeffs = variations.odd_power_hermite_coeffs
 _scheme = calculus.taylor_coefficients()
 _gammas = _scheme.gammas[:2] + (_scheme.gammas[2] + Fraction(1, 1000),) + _scheme.gammas[3:]
 
-MUTANTS = {  # check name: (module, attribute, broken replacement)
+MUTANTS = {  # check name: (check, module, attribute, broken replacement)
     "cell-sum identity": (  # the cell sum takes its sign from the closed form
-        variations, "updown_difference", lambda t, j: -skeleton.updown_difference(t, j)),
+        identities.cell_sum_identity, variations, "updown_difference",
+        lambda t, j: -skeleton.updown_difference(t, j)),
     "Hermite decomposition identity": (  # x^3 = H_3 + 3 H_1, not H_3 + 3.5 H_1
-        variations, "odd_power_hermite_coeffs",
+        identities.hermite_decomposition, variations, "odd_power_hermite_coeffs",
         lambda r: _coeffs(r) + 0.5 * (r == 2) * (np.arange(r) == 0)),
     "two-point expansion exactness": (  # gamma_3 off by 1/1000
-        identities, "taylor_coefficients", lambda: dataclasses.replace(_scheme, gammas=_gammas)),
+        identities.two_point_expansion, identities, "taylor_coefficients",
+        lambda: dataclasses.replace(_scheme, gammas=_gammas)),
     "residual telescoping": (
-        identities, "ito_residual", lambda f, js: calculus.ito_residual(f, js) + 1e-9),
+        identities.residual_telescoping, identities, "ito_residual",
+        lambda f, js: calculus.ito_residual(f, js) + 1e-9),
     "crossing closed form and conservation": (  # cells (0, terminal], not [0, terminal)
-        identities, "updown_difference", lambda t, j: skeleton.updown_difference(t, j - 1)),
+        identities.crossing_closed_form, identities, "updown_difference",
+        lambda t, j: skeleton.updown_difference(t, j - 1)),
 }
 
 
 @pytest.mark.parametrize("name", MUTANTS)
-def test_broken_ingredient_fails_its_check(monkeypatch, capsys, name):
-    monkeypatch.setattr(*MUTANTS[name])
+def test_broken_ingredient_fails_its_check(monkeypatch, name):
+    check, *mutant = MUTANTS[name]
+    monkeypatch.setattr(*mutant)
+    result = check(3)
+    assert result.name == name and not result.ok
+
+
+def test_selftest_exits_2_with_a_fail_line(monkeypatch, capsys):
+    name = "residual telescoping"
+    monkeypatch.setattr(*MUTANTS[name][1:])
     assert main(["selftest", "--seed", "3"]) == 2
     heads = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
     assert len(heads) == len(identities.CHECKS) and f"FAIL  {name}" in heads
