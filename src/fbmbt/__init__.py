@@ -10,7 +10,7 @@ variations  Hermite machinery and symmetric weighted power variations
 calculus    change-of-variable residuals, correction term, branch checks
 scaling     quadratic/cubic variation scaling laws for plain fBm
 stats       KS tests, Monte Carlo summaries, log2-slope fits
-identities  the deterministic identity checks (C1-C4, C12's closed form)
+criteria    the acceptance criteria C1-C12 and the identity checks selftest runs
 cli         command-line front end (``fbmbt`` entry point)
 """
 

@@ -54,6 +54,7 @@ __all__ = [
     "correction_std",
     "sample_joint",
     "verify_branch",
+    "gate_clauses",
     "evaluate_gate",
 ]
 
@@ -640,40 +641,62 @@ def verify_branch(branch: str, config: VerifyConfig) -> VerificationReport:
     )
 
 
-def evaluate_gate(report: VerificationReport, slope_tolerance: float = 0.10) -> list:
-    """Default acceptance thresholds per branch; returns failure messages.
+def gate_clauses(report: VerificationReport) -> list:
+    """The acceptance clauses that apply to a report, as (name, statistic,
+    bound, ok, failure message) tuples; a NaN statistic fails its clause.
 
-    Supercritical: mean_abs strictly decreases and, from three levels on,
-    its log2 slope lies within 3 standard errors of the endpoint-mismatch
-    rate -H/4 (notes/decisions.md).  ``slope_tolerance`` is the subcritical
-    band.
+    Supercritical: mean_abs strictly decreases over the levels;
+    mean_abs_at_skeleton_end at the top level is at most half its value at
+    the lowest, where the remainder's rate 2^{-(n_K-n_1)(6H-1)/4} predicts a
+    ratio of at most 1/3; and, from three levels on, the log2 slope of
+    mean_abs lies within 3 standard errors of the endpoint-mismatch rate
+    -H/4.  Critical: ks_distance is smaller at the top level than at the
+    lowest.  Subcritical: the variance slope lies within 0.10 of (1-6H)/2.
+    notes/decisions.md derives the supercritical rates.
     """
-    failures = []
+    rows, levels = report.per_level, report.levels
+    clauses = []
     if report.branch == "supercritical":
-        means = [row["mean_abs"] for row in report.per_level]
-        if any(b >= a for a, b in zip(means, means[1:])):
-            failures.append(f"mean_abs not strictly decreasing: {means}")
-        if len(report.levels) >= 3:
+        means = [row["mean_abs"] for row in rows]
+        if len(means) >= 2:
+            rise = float(np.max(np.diff(means)))
+            clauses.append(("mean_abs strictly decreasing", rise, 0.0, rise < 0.0,
+                            f"mean_abs not strictly decreasing: {means}"))
+        predicted = 2.0 ** (-(levels[-1] - levels[0]) * (6.0 * report.hurst - 1.0) / 4.0)
+        if predicted <= 1.0 / 3.0:
+            low = rows[0]["mean_abs_at_skeleton_end"]
+            top = rows[-1]["mean_abs_at_skeleton_end"]
+            ratio = top / low if low else (math.inf if top else 0.0)
+            clauses.append((
+                "mean_abs_at_skeleton_end halving", ratio, 0.5, ratio <= 0.5,
+                f"mean_abs_at_skeleton_end at level {levels[-1]} is {ratio:.3f} of its "
+                f"level-{levels[0]} value, above 0.5 (its rate predicts {predicted:.3f})"))
+        if len(levels) >= 3:
             slope = report.extra["mean_abs_log2_slope"]
             band = 3 * report.extra["mean_abs_log2_slope_stderr"]
             target = -report.hurst / 4
-            if abs(slope - target) > band:
-                failures.append(
-                    f"log2 slope of mean_abs {slope:.4f} outside "
-                    f"{target:.4f} +- {band:.4f} (3 SE)"
-                )
+            miss = abs(slope - target)
+            clauses.append((
+                "mean_abs log2 slope within 3 SE of -H/4", miss, band, miss <= band,
+                f"log2 slope of mean_abs {slope:.4f} outside {target:.4f} +- {band:.4f} (3 SE)"))
     elif report.branch == "critical":
-        ks = [row["ks_distance"] for row in report.per_level]
-        if len(ks) >= 2 and ks[-1] >= ks[0]:
-            failures.append(
-                f"ks_distance at level {report.levels[-1]} ({ks[-1]:.4f}) not "
-                f"smaller than at level {report.levels[0]} ({ks[0]:.4f})"
-            )
+        ks = [row["ks_distance"] for row in rows]
+        if len(ks) >= 2:
+            clauses.append((
+                "ks_distance shrinks", ks[-1], ks[0], ks[-1] < ks[0],
+                f"ks_distance at level {levels[-1]} ({ks[-1]:.4f}) not smaller than at "
+                f"level {levels[0]} ({ks[0]:.4f})"))
     elif report.branch == "subcritical":
         slope = report.extra["slope"]
         target = report.extra["slope_target"]
-        if abs(slope - target) > slope_tolerance:
-            failures.append(
-                f"variance slope {slope:.3f} outside {target:.3f} +- {slope_tolerance}"
-            )
-    return failures
+        miss = abs(slope - target)
+        clauses.append((
+            "variance slope within 0.10 of (1-6H)/2", miss, 0.10, miss <= 0.10,
+            f"variance slope {slope:.3f} outside {target:.3f} +- 0.1"))
+    return clauses
+
+
+def evaluate_gate(report: VerificationReport) -> list:
+    """The failure messages of the report's clauses (``gate_clauses``);
+    empty when the report passes."""
+    return [message for *_, ok, message in gate_clauses(report) if not ok]

@@ -95,11 +95,7 @@ def _build_parser() -> _Parser:
     v.add_argument("--levels", default="8,10,12,14",
                    help="comma-separated increasing levels")
     v.add_argument("--replicas", type=int, default=500)
-    v.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility; has no effect (every "
-                        "level is drawn in one pass)")
     v.add_argument("--kappa3", type=float, default=None)
-    v.add_argument("--slope-tolerance", type=float, default=0.10)
     v.add_argument("--csv", default=None,
                    help="per-level CSV path (default: next to the JSON report)")
     v.add_argument("--no-gate", action="store_true",
@@ -258,7 +254,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         f = function_by_name(p["fname"])
         vc = calculus.VerifyConfig(
             hurst=p["hurst"], f=f, t=p["t"], levels=levels,
-            replicas=p["replicas"], seed=cfg.seed, workers=p["workers"],
+            replicas=p["replicas"], seed=cfg.seed,
             kappa3=p["kappa3"] if p["kappa3"] is not None else calculus.KAPPA3,
         )
         report = calculus.verify_branch(p["branch"], vc)
@@ -278,7 +274,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     print(f"wrote {out} and {csv_path}")
     if p.get("no_gate"):
         return EXIT_OK
-    failures = calculus.evaluate_gate(report, slope_tolerance=p["slope_tolerance"])
+    failures = calculus.evaluate_gate(report)
     for msg in failures:
         print(f"ACCEPTANCE FAILURE: {msg}", file=sys.stderr)
     return EXIT_ACCEPTANCE if failures else EXIT_OK
@@ -314,11 +310,11 @@ def cmd_scaling(cfg: RunConfig) -> int:
 
 
 def cmd_selftest(cfg: RunConfig) -> int:
-    """The identity checks of fbmbt.identities at --seed; exit 0 iff all hold."""
-    from .identities import CHECKS
+    """The identity checks of fbmbt.criteria at --seed; exit 0 iff all hold."""
+    from .criteria import IDENTITIES
 
     failed = False
-    for check in CHECKS:
+    for check in IDENTITIES:
         result = check(cfg.seed)
         print(f"{'PASS' if result.ok else 'FAIL'}  {result}")
         failed |= not result.ok

@@ -19,7 +19,7 @@ from fbmbt.calculus import (KAPPA3, LHS_CELLS, VerificationReport, VerifyConfig,
                             _critical_lhs, _critical_rhs, _cube_sums,
                             _pow2_at_least, _skeletal_z_values,
                             _supercritical_pairs, _walk_end_rows,
-                            correction_std, evaluate_gate, ito_residual,
+                            correction_std, evaluate_gate, gate_clauses, ito_residual,
                             sample_joint, taylor_coefficients, verify_branch)
 from fbmbt.fgn import increment_autocovariance, sample_fbm_two_sided
 from fbmbt.scaling import power_variation
@@ -668,9 +668,9 @@ class TestPow2AtLeast:
 
 
 class TestEvaluateGate:
-    def _report(self, branch, per_level, extra=None, levels=None):
+    def _report(self, branch, per_level, extra=None, levels=None, hurst=None):
         return VerificationReport(
-            branch=branch, hurst=0.35 if branch == "supercritical" else 0.1,
+            branch=branch, hurst=hurst or (0.35 if branch == "supercritical" else 0.1),
             f_descriptor="sin", t=1.0,
             levels=levels or list(range(8, 8 + 2 * len(per_level), 2)),
             replicas=10, per_level=per_level, extra=extra or {}, seed=0)
@@ -685,8 +685,9 @@ class TestEvaluateGate:
 
     def test_supercritical_slope_band(self):
         # C7's numbers (H = 0.35, levels 8..14): slope -0.0817 against
-        # -H/4 = -0.0875 +- 3 * 0.0137
-        rows = [{"mean_abs": m} for m in (0.2758, 0.2478, 0.2289, 0.1941)]
+        # -H/4 = -0.0875 +- 3 * 0.0137, remainder ratio 0.345
+        rows = [{"mean_abs": m, "mean_abs_at_skeleton_end": e} for m, e in
+                zip((0.2758, 0.2478, 0.2289, 0.1941), (0.0249, 0.0165, 0.0128, 0.0086))]
         ok = self._report("supercritical", rows, extra={
             "mean_abs_log2_slope": -0.0817, "mean_abs_log2_slope_stderr": 0.0137})
         assert evaluate_gate(ok) == []
@@ -694,6 +695,27 @@ class TestEvaluateGate:
             "mean_abs_log2_slope": -0.0300, "mean_abs_log2_slope_stderr": 0.0137})
         (msg,) = evaluate_gate(flat)
         assert "log2 slope of mean_abs -0.0300 outside -0.0875 +- 0.0411" in msg
+
+    def _c7(self, top_end, hurst=0.35):
+        """C7's rows at seed 7 with the top level's skeleton-end remainder set."""
+        rows = [{"mean_abs": m, "mean_abs_at_skeleton_end": e} for m, e in
+                zip((0.3, 0.2495, 0.2287, 0.1928), (0.0240, 0.0178, 0.0121, top_end))]
+        return self._report("supercritical", rows, hurst=hurst, extra={
+            "mean_abs_log2_slope": -0.1019, "mean_abs_log2_slope_stderr": 0.0131})
+
+    def test_supercritical_halving(self):
+        # H = 0.35 on levels 8..14: the rate predicts a ratio of 0.319
+        assert evaluate_gate(self._c7(0.00881)) == []  # ratio 0.367
+        (msg,) = evaluate_gate(self._c7(0.01224))  # ratio 0.51
+        assert msg.startswith("mean_abs_at_skeleton_end at level 14 is 0.510 of its "
+                              "level-8 value, above 0.5")
+
+    def test_no_halving_where_the_rate_cannot_halve(self):
+        # H = 0.2 on levels 8..14: the rate predicts 0.81, so a correct
+        # program cannot halve and the clause does not apply
+        report = self._c7(0.0216, hurst=0.2)  # ratio 0.9
+        assert not any("mean_abs_at_skeleton_end" in m for m in evaluate_gate(report))
+        assert "mean_abs_at_skeleton_end halving" not in [c[0] for c in gate_clauses(report)]
 
     def test_critical_gate(self):
         ok = self._report("critical", [{"ks_distance": 0.06}, {"ks_distance": 0.04}])
@@ -706,3 +728,5 @@ class TestEvaluateGate:
         assert evaluate_gate(ok) == []
         bad = self._report("subcritical", [{}], extra={"slope": 0.45, "slope_target": 0.2})
         assert "slope" in evaluate_gate(bad)[0]
+        nan = self._report("subcritical", [{}], extra={"slope": math.nan, "slope_target": 0.2})
+        assert "slope" in evaluate_gate(nan)[0]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+from fbmbt import calculus
 from fbmbt.cli import main
 from fbmbt.fgn import read_path
 from fbmbt.skeleton import read_skeleton
@@ -160,6 +161,36 @@ class TestVerifyCommand:
                 "-o", str(out), "--no-gate")
             outs.append(json.loads(out.read_text()))
         assert outs[0]["body"] == outs[1]["body"]
+
+    @pytest.mark.parametrize("flag, value", [("--workers", "1"),
+                                             ("--slope-tolerance", "nan")])
+    def test_removed_flags_are_usage_errors(self, tmp_path, capsys, flag, value):
+        argv = ["verify", "--branch", "subcritical", "--hurst", "0.1", "--levels", "4,5,6",
+                "--replicas", "20", "--outdir", str(tmp_path)]
+        assert run(*argv, flag, value) == 1
+        assert flag in capsys.readouterr().err
+        key = flag[2:].replace("-", "_")
+        cfgfile = tmp_path / "v.cfg"
+        cfgfile.write_text(f"{key} = {value}\n")
+        assert run("--config", str(cfgfile), *argv) == 1
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.json"))
+
+    def test_supercritical_exits_2_when_only_the_halving_fails(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # C7's rows at seed 7, with the level-14 skeleton-end remainder at
+        # 0.51 of its level-8 value (0.367 in the real run)
+        means = {8: 0.3, 10: 0.2495, 12: 0.2287, 14: 0.1928}
+        stderrs = {8: 0.0120, 10: 0.0105, 12: 0.0099, 14: 0.0079}
+        ends = {8: 0.0240, 10: 0.0178, 12: 0.0121, 14: 0.01224}
+        monkeypatch.setattr(calculus, "_branch_supercritical_level", lambda cfg, n: {
+            "mean_abs": means[n], "p90": 0.5, "stderr": stderrs[n],
+            "mean_abs_at_skeleton_end": ends[n], "stderr_at_skeleton_end": 0.001})
+        code = run("verify", "--branch", "supercritical", "--hurst", "0.35",
+                   "--levels", "8,10,12,14", "--outdir", str(tmp_path))
+        assert code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("ACCEPTANCE FAILURE: mean_abs_at_skeleton_end at level 14")
 
     def test_no_gate_forces_success(self, tmp_path):
         code = run("verify", "--branch", "subcritical", "--hurst", "0.10",
@@ -407,7 +438,6 @@ class TestFuzzedFlags:
             "--t": (_floats(0.05, 2.0), _BAD_FLOAT),
             "--levels": (_levels(7), _BAD_LEVELS),
             "--replicas": (st.integers(2, 6).map(str), _BAD_INT),
-            "--workers": (st.sampled_from(["1", "2"]), _BAD_INT),
             "--kappa3": (st.one_of(st.none(), _floats(-3.0, 3.0)), _BAD_FLOAT),
             "--seed": (st.integers(0, 2**64).map(str), st.sampled_from(["-1", "x"])),
             "--f": (st.sampled_from(["sin", "cube", "gauss"]), st.just("nope")),

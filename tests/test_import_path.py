@@ -19,7 +19,8 @@ SCRIPT = textwrap.dedent("""
     import contextlib, io, tempfile
 
     import fbmbt.cli
-    assert "fbmbt.identities" not in sys.modules  # only selftest loads it
+    assert "fbmbt.criteria" not in sys.modules  # only selftest loads it
+    import fbmbt.criteria  # every criterion's module loads without scipy
     from fbmbt.calculus import VerifyConfig, verify_branch
     from fbmbt.scaling import check_cubic, check_quadratic
     from fbmbt.variations import function_by_name
