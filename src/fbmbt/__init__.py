@@ -20,15 +20,13 @@ from .calculus import (KAPPA3, JointSample, TaylorScheme, VerificationReport,
 from .fgn import (BmPath, FbmPath, HurstParameter, fbm_covariance,
                   increment_autocovariance, sample_bm, sample_fbm_two_sided,
                   sample_fgn)
-from .scaling import ScalingReport, check_cubic, check_quadratic, power_variation
+from .scaling import ScalingReport, check_cubic, check_quadratic
 from .skeleton import (CrossingCounts, SkeletalStructure, crossing_counts,
                        sample_walk_exact, updown_difference)
 from .stats import KsResult, SampleSummary, fit_log2_slope, ks_two_sample
 from .streams import SeedRecord
 from .variations import (SmoothFunction, hermite, odd_power_hermite_coeffs,
-                         rescaled_increment,
-                         symmetric_variation_direct,
-                         symmetric_variation_skeletal,
+                         symmetric_cell_sum, symmetric_variation_direct,
                          weighted_hermite_variation)
 
 __version__ = "0.1.0"

@@ -97,8 +97,7 @@ class JointSample:
         walk = np.ascontiguousarray(self.walk, dtype=np.int64)
         walk.setflags(write=False)
         object.__setattr__(self, "walk", walk)
-        if self.x.spacing != dyadic_step(self.level):
-            raise ValueError("X grid spacing is not the level's step 2^{-n/2}")
+        self.x.check_level_grid(self.level)
         if len(walk) != floor_steps(self.level, self.t) + 1 or walk[0] != 0:
             raise ValueError("walk must hold floor(2^n t) steps from 0")
 
@@ -288,38 +287,20 @@ def taylor_coefficients() -> TaylorScheme:
     g1 = Fraction(1, 2)
     g2 = Fraction(-1, 24)
 
-    def deriv_coeffs(k_power: int, order: int) -> Fraction:
-        # d^order/dx^order x^k evaluated as coefficient function at x
-        if order > k_power:
+    def row_entry(k: int, r: int) -> Fraction:
+        # f^{(m)}(0) + f^{(m)}(1) for f(x) = x^k and m = 2r - 1: the factor
+        # of gamma_r when the scheme is applied to x^k at (a, b) = (0, 1)
+        m = 2 * r - 1
+        if m > k:
             return Fraction(0)
-        c = Fraction(1)
-        for i in range(order):
-            c *= k_power - i
-        return c
-
-    def scheme_on_monomial(k: int, gammas: list) -> Fraction:
-        # scheme applied to f(x) = x^k at (a, b) = (0, 1)
-        total = Fraction(0)
-        for r, g in enumerate(gammas, start=1):
-            m = 2 * r - 1
-            c = deriv_coeffs(k, m)
-            f_at_0 = c if m == k else Fraction(0)
-            f_at_1 = c
-            total += g * (f_at_0 + f_at_1)
-        return total
+        c = Fraction(math.perm(k, m))
+        return c + c if m == k else c
 
     unknown_rows = []
     rhs = []
     for k in (5, 7, 9, 11, 13):
-        base = scheme_on_monomial(k, [g1, g2])
-        row = []
-        for r in range(3, 8):
-            m = 2 * r - 1
-            c = deriv_coeffs(k, m)
-            f_at_0 = c if m == k else Fraction(0)
-            row.append(f_at_0 + c if m <= k else Fraction(0))
-        unknown_rows.append(row)
-        rhs.append(Fraction(1) - base)
+        unknown_rows.append([row_entry(k, r) for r in range(3, 8)])
+        rhs.append(1 - g1 * row_entry(k, 1) - g2 * row_entry(k, 2))
 
     # Back-substitution: the system is lower-triangular in (c_3, ..., c_7).
     cs = [Fraction(0)] * 5
@@ -365,7 +346,7 @@ def ito_residual_pair(f: SmoothFunction, js: JointSample) -> tuple:
 def _residual_pair(f: SmoothFunction, values: np.ndarray, terminal: int,
                    z_t: float) -> tuple:
     """``ito_residual_pair`` from the level's X grid values, unchecked."""
-    v = _cell_sum(_as_weight(f, 1), values, 1, terminal, 1)
+    v = _cell_sum(_as_weight(f, 1), values, terminal, 1)
     z_end = values[terminal + len(values) // 2]
     return float(f(z_t) - f(0.0) - v), float(f(z_end) - f(0.0) - v)
 
@@ -558,7 +539,7 @@ def _critical_rhs(cfg: VerifyConfig, level: int) -> np.ndarray:
         values = np.zeros((len(rows), rows.shape[1] + 1))
         np.cumsum(rows, axis=1, out=values[:, 1:])
         for rep, m, x in zip(reps.tolist(), ends.tolist(), values):
-            rhs[rep] = _cell_sum(f1, x, 1, m, 1, center=0)
+            rhs[rep] = _cell_sum(f1, x, m, 1, center=0)
     return rhs
 
 

@@ -187,6 +187,21 @@ def _csv_sibling(cfg: RunConfig, json_out: Path, override) -> Path:
     return json_out.with_suffix(".csv")
 
 
+def _write_report(cfg: RunConfig, report, default_name: str, notes) -> None:
+    """Save a per-level report as JSON and its CSV table, then print each
+    level's row, the (name, value) ``notes`` and where both files went."""
+    out = _require_out(cfg, default_name)
+    report.save(out)
+    csv_path = _csv_sibling(cfg, out, cfg.params.get("csv"))
+    csv_path.write_text(report.per_level_csv(), encoding="utf-8")
+    for lev, row in zip(report.levels, report.per_level):
+        cells = "  ".join(f"{k}={v:.6g}" for k, v in sorted(row.items()))
+        print(f"level {lev}: {cells}")
+    for k, v in notes:
+        print(f"{k} = {v:.6g}")
+    print(f"wrote {out} and {csv_path}")
+
+
 def cmd_generate(cfg: RunConfig) -> int:
     from . import fgn
 
@@ -262,16 +277,8 @@ def cmd_verify(cfg: RunConfig) -> int:
         raise UsageError(str(exc)) from exc
     except MemoryError:
         raise _out_of_memory(levels, p["t"]) from None
-    out = _require_out(cfg, f"verify_{p['branch']}_seed{cfg.seed}.json")
-    report.save(out)
-    csv_path = _csv_sibling(cfg, out, p.get("csv"))
-    csv_path.write_text(report.per_level_csv(), encoding="utf-8")
-    for lev, row in zip(report.levels, report.per_level):
-        cells = "  ".join(f"{k}={v:.6g}" for k, v in sorted(row.items()))
-        print(f"level {lev}: {cells}")
-    for k, v in sorted(report.extra.items()):
-        print(f"{k} = {v:.6g}")
-    print(f"wrote {out} and {csv_path}")
+    _write_report(cfg, report, f"verify_{p['branch']}_seed{cfg.seed}.json",
+                  sorted(report.extra.items()))
     if p.get("no_gate"):
         return EXIT_OK
     failures = calculus.evaluate_gate(report)
@@ -296,16 +303,9 @@ def cmd_scaling(cfg: RunConfig) -> int:
         raise UsageError(str(exc)) from exc
     except MemoryError:
         raise _out_of_memory(levels, p["t"]) from None
-    out = _require_out(cfg, f"scaling_p{p['power']}_seed{cfg.seed}.json")
-    report.save(out)
-    csv_path = _csv_sibling(cfg, out, p.get("csv"))
-    csv_path.write_text(report.per_level_csv(), encoding="utf-8")
-    for lev, row in zip(report.levels, report.per_level):
-        cells = "  ".join(f"{k}={v:.6g}" for k, v in sorted(row.items()))
-        print(f"level {lev}: {cells}")
-    if report.estimated_sigma2 is not None:
-        print(f"estimated_sigma2 = {report.estimated_sigma2:.6g}")
-    print(f"wrote {out} and {csv_path}")
+    sigma2 = report.estimated_sigma2
+    _write_report(cfg, report, f"scaling_p{p['power']}_seed{cfg.seed}.json",
+                  [] if sigma2 is None else [("estimated_sigma2", sigma2)])
     return EXIT_OK
 
 

@@ -14,12 +14,12 @@ import numpy as np
 
 from .calculus import (VerifyConfig, _pow2_at_least, _skeletal_z_values, gate_clauses,
                        ito_residual, sample_joint, taylor_coefficients, verify_branch)
-from .fgn import dyadic_step, sample_fbm_rows, sample_fbm_two_sided
+from .fgn import dyadic_step, floor_steps, sample_fbm_rows, sample_fbm_two_sided
 from .scaling import check_cubic, check_quadratic
 from .skeleton import SkeletalStructure, crossing_counts, sample_walk_exact, updown_difference
 from .streams import KeyedPhilox, SeedRecord
 from .variations import (decompose_variation, function_by_name, hermite, polynomial, sine,
-                         symmetric_variation_direct, symmetric_variation_skeletal,
+                         symmetric_cell_sum, symmetric_variation_direct,
                          weighted_hermite_variation)
 
 __all__ = ["Clause", "CriterionResult", "CRITERIA", "IDENTITIES"]
@@ -87,11 +87,10 @@ def cell_sum_identity(seed: int):
     for n in range(4, 13):
         for i in range(100):
             js = sample_joint(0.3, n, 1.0, base.derive("replica", n, i))
-            cc = crossing_counts(js, 1.0)
             z = _skeletal_z_values(js, 1.0)
             for r in (1, 2, 3):
                 direct = symmetric_variation_direct(sine(), z, 2 * r - 1)
-                skel = symmetric_variation_skeletal(sine(), js.x, cc, 2 * r - 1)
+                skel = symmetric_cell_sum(sine(), js.x, n, int(js.walk[-1]), 2 * r - 1)
                 yield abs(direct - skel), _ident_tol(direct, skel), f"n={n}, i={i}, r={r}"
 
 
@@ -106,7 +105,7 @@ def hermite_decomposition(seed: int):
                 sk = sample_walk_exact(n, 2**n, rec, with_times=False)
                 reach = int(np.max(np.abs(sk.walk))) + 2
                 x = sample_fbm_two_sided(0.3, dyadic_step(n), reach, rec.derive("fbm"))
-                lhs, rhs = decompose_variation(sine(), x, crossing_counts(sk, 1.0), 2 * r - 1)
+                lhs, rhs = decompose_variation(sine(), x, n, int(sk.walk[-1]), 2 * r - 1)
                 yield abs(lhs - rhs), _ident_tol(lhs, rhs), f"n={n}, r={r}, i={i}"
 
 
@@ -231,7 +230,7 @@ def _second_moments(order: int, level: int, seed: int, pairs) -> tuple:
 
     def w_at(tv):
         """W_n(tv) on every row of the current batch."""
-        k = int(np.floor(abs(tv) * 2 ** (level / 2) + 1e-9))
+        k = floor_steps(level / 2, abs(tv))
         return prefix[1][:, k] if tv >= 0 else prefix[-1][:, k]
 
     probe = pairs[0][1]

@@ -55,7 +55,6 @@ __all__ = [
     "sample_bm",
     "dyadic_step",
     "uniform_step",
-    "coarsen",
     "write_path",
     "read_path",
     "write_path_csv",
@@ -266,24 +265,17 @@ class FbmPath:
         if self.values[self.half_extent] != 0.0:
             raise ValueError("value at time zero must be exactly 0")
 
-    @property
-    def extent(self) -> float:
-        """Largest |t| on the grid."""
-        return self.half_extent * self.spacing
-
     def time_grid(self) -> np.ndarray:
         return (np.arange(2 * self.half_extent + 1) - self.half_extent) * self.spacing
 
-    def dyadic_stride(self, level: int) -> int:
-        """Integer stride m with m * spacing == 2^{-level/2}, else error."""
-        ratio = dyadic_step(level) / self.spacing
-        m = int(round(ratio))
-        if m < 1 or ratio != float(m):
+    def check_level_grid(self, level: int) -> None:
+        """Raise ValueError unless the path lies on the level-n grid, spacing
+        2^{-n/2}: the only grid the level's walk reads X on."""
+        if self.spacing != dyadic_step(level):
             raise ValueError(
-                f"path spacing {self.spacing} does not subdivide the level-"
-                f"{level} dyadic step {dyadic_step(level)}"
+                f"path spacing {self.spacing} is not the level-{level} step "
+                f"2^(-{level}/2) = {dyadic_step(level)}"
             )
-        return m
 
 
 @dataclass(frozen=True)
@@ -407,17 +399,6 @@ def sample_bm(horizon: float, spacing: float, seed: "int | SeedRecord") -> BmPat
     values = np.concatenate([[0.0], np.cumsum(inc)])
     return BmPath(spacing=float(spacing), horizon=n * float(spacing),
                   values=values, seed_record=record)
-
-
-def coarsen(path: FbmPath, factor: int) -> FbmPath:
-    """Restriction of the same realization to a grid coarser by ``factor``."""
-    factor = int(factor)
-    if factor < 1 or path.half_extent % factor != 0:
-        raise ValueError(f"factor {factor} must divide half_extent {path.half_extent}")
-    values = path.values[::factor].copy()
-    return FbmPath(hurst=path.hurst, spacing=path.spacing * factor,
-                   half_extent=path.half_extent // factor, values=values,
-                   seed_record=path.seed_record, method=path.method)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Both checks draw the ``floor(2^n t)`` increments over [0, t] as one-sided
 fGn, one substream per (power, level, replica): the rows of a level come
 from ``fgn.sample_fgn_rows`` on the Philox keys of
 ``derive("scaling", power, level, replica)``, each bit-equal to
-``fgn.sample_fgn`` on that record.
+``fgn.sample_fgn`` on that record.  The power sums run on those keyed
+rows (``_power_sum``); no path object is formed.
 
 Quadratic variation: 2^{n(2H-1)} * sum (increment)^2 -> t almost surely.
 Cubic variation (H < 1/2): 2^{n(3H-1/2)} * sum (increment)^3 converges in
@@ -20,11 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fgn import FbmPath, HurstParameter, floor_steps, sample_fgn_rows, uniform_step
+from .fgn import HurstParameter, floor_steps, sample_fgn_rows, uniform_step
 from .stats import PerLevelReport, check_layout, ks_one_sample_normal
 from .streams import KeyedPhilox, SeedRecord
 
-__all__ = ["ScalingReport", "power_variation", "check_quadratic", "check_cubic"]
+__all__ = ["ScalingReport", "check_quadratic", "check_cubic"]
 
 SCALING_SCHEMA_VERSION = 1
 
@@ -41,22 +42,6 @@ class ScalingReport(PerLevelReport):
     seed: int
     wall_time: float = 0.0
     schema_version: int = SCALING_SCHEMA_VERSION
-
-
-def power_variation(path: FbmPath, power: int, level: int, t: float) -> float:
-    """Unnormalized sum of increment powers over [0, t] at spacing 2^{-level}."""
-    if power < 1:
-        raise ValueError("power must be a positive integer")
-    step = uniform_step(level)
-    if path.spacing != step:
-        raise ValueError(
-            f"path spacing {path.spacing} does not equal 2^-{level} = {step}"
-        )
-    k = floor_steps(level, t)
-    if k * step > path.extent:
-        raise ValueError(f"horizon {t} beyond path extent {path.extent}")
-    center = path.half_extent
-    return _power_sum(np.diff(path.values[center: center + k + 1]), power)
 
 
 def _power_sum(inc: np.ndarray, power: int, term: "np.ndarray | None" = None) -> float:

@@ -13,6 +13,10 @@ with U_j - D_j given in closed form by the terminal walk index.  Both
 evaluations are provided; with exact (fsum) accumulation they agree to the
 last bit because they sum the same multiset of products.
 
+X lives on the level's own grid: X_j is the value at j * 2^{-n/2}, the
+points the level-n walk hits, and each public sum rejects a path of any
+other spacing (``FbmPath.check_level_grid``).
+
 The Hermite route rewrites x^{2r-1} = sum_l a_{r,l} H_{2l-1}(x) (monic
 probabilists' polynomials, integer coefficients) and splits the variation
 into the rescaled-walk statistics W_n^{(2l-1)} evaluated at the terminal
@@ -29,16 +33,14 @@ from typing import Callable
 import numpy as np
 
 from .fgn import ExtentError, FbmPath, dyadic_step, floor_steps
-from .skeleton import CrossingCounts, updown_difference
+from .skeleton import updown_difference
 
 __all__ = [
     "SmoothFunction",
     "hermite",
     "odd_power_hermite_coeffs",
     "symmetric_variation_direct",
-    "symmetric_variation_skeletal",
     "symmetric_cell_sum",
-    "rescaled_increment",
     "weighted_hermite_variation",
     "sine",
     "cosine",
@@ -237,10 +239,22 @@ def symmetric_variation_direct(f: SmoothFunction, z_values, order: int) -> float
     return math.fsum(terms.tolist())
 
 
-def symmetric_variation_skeletal(f: SmoothFunction, x_grid: FbmPath,
-                                 counts: CrossingCounts, order: int) -> float:
-    """Cell-sum form: O(|terminal|) work via the crossing-number closed form."""
-    return symmetric_cell_sum(f, x_grid, counts.level, counts.terminal, order)
+def _level_values(x_grid: FbmPath, level: int, reach: int) -> np.ndarray:
+    """The values of a path on the level's grid that reaches grid index
+    ``reach`` on each side of time zero."""
+    x_grid.check_level_grid(level)
+    if reach > x_grid.half_extent:
+        raise ExtentError(f"spatial grid covers |j| <= {x_grid.half_extent}, "
+                          f"need |j| <= {reach} at level {level}")
+    return x_grid.values
+
+
+def _cell_ends(values: np.ndarray, cells: np.ndarray, sign: int,
+               center: int) -> tuple:
+    """X at both ends of each cell: grid points ``cells`` and ``cells + sign``
+    counted from time zero at index ``center``."""
+    i = cells + center
+    return values[i], values[i + sign]
 
 
 def symmetric_cell_sum(f: SmoothFunction, x_grid: FbmPath, level: int,
@@ -251,67 +265,42 @@ def symmetric_cell_sum(f: SmoothFunction, x_grid: FbmPath, level: int,
     needed: each cell between 0 and the terminal index counts once.
     """
     _check_order(order)
-    stride = x_grid.dyadic_stride(level)
-    if abs(terminal) * stride > x_grid.half_extent:
-        raise ExtentError(
-            f"spatial grid covers |j| <= {x_grid.half_extent // stride}, "
-            f"need |j| <= {abs(terminal)} at level {level}"
-        )
-    return _cell_sum(f, x_grid.values, stride, terminal, order)
+    values = _level_values(x_grid, level, abs(terminal))
+    return _cell_sum(f, values, terminal, order)
 
 
-def _cell_sum(f: SmoothFunction, values: np.ndarray, stride: int,
-             terminal: int, order: int, center: "int | None" = None) -> float:
-    """``symmetric_cell_sum`` on raw grid values with time zero at index
-    ``center`` (the middle of a two-sided grid when None), unchecked; cell j
-    spans grid points j*stride and (j+1)*stride from time zero."""
+def _cell_sum(f: SmoothFunction, values: np.ndarray, terminal: int, order: int,
+              center: "int | None" = None) -> float:
+    """``symmetric_cell_sum`` on raw values of the level's grid with time
+    zero at index ``center`` (the middle of a two-sided grid when None),
+    unchecked."""
     if terminal == 0:
         return 0.0
     j = np.arange(0, terminal) if terminal > 0 else np.arange(terminal, 0)
     sign = float(updown_difference(terminal, int(j[0])))
     if center is None:
         center = len(values) // 2
-    x0 = values[j * stride + center]
-    x1 = values[(j + 1) * stride + center]
+    x0, x1 = _cell_ends(values, j, 1, center)
     fz = 0.5 * (f(x0) + f(x1))
     terms = fz * _odd_power(x1 - x0, order)
     return sign * math.fsum(terms.tolist())
 
 
-def rescaled_increment(x_grid: FbmPath, level: int, j: int, sign: int = 1) -> float:
-    """Unit-variance increment 2^{nH/2} (X_{+-(j+1)a} - X_{+-ja}), a = 2^{-n/2}."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if j < 0:
-        raise ValueError("j indexes the chosen branch and must be >= 0")
-    stride = x_grid.dyadic_stride(level)
-    center = x_grid.half_extent
-    hi = sign * (j + 1) * stride + center
-    lo = sign * j * stride + center
-    if not (0 <= hi < len(x_grid.values)) or not (0 <= lo < len(x_grid.values)):
-        raise ExtentError(
-            f"grid half_extent {x_grid.half_extent} cannot reach index j={j} "
-            f"on the {'+' if sign > 0 else '-'} side at level {level}"
-        )
-    scale = 2.0 ** (level * x_grid.hurst.value / 2.0)
-    return scale * (float(x_grid.values[hi]) - float(x_grid.values[lo]))
+def weighted_hermite_variation(f: SmoothFunction, x_grid: FbmPath, level: int,
+                               order: int, t: float) -> float:
+    """W_n^{(order)}(f, t): the + branch for t >= 0, the - branch at -t for t < 0.
 
-
-def _weighted_hermite_sum(f: SmoothFunction, x_grid: FbmPath, level: int,
-                          order: int, count: int, sign: int) -> float:
-    """Sum over j = 0..count-1 on one branch; exact integer term count."""
+    Sums over the cells j = 0..count-1 of the branch, count = floor(2^{n/2} |t|),
+    with the unit-variance increment 2^{nH/2} (X_{+-(j+1)a} - X_{+-ja}),
+    a = 2^{-n/2}, in the Hermite polynomial.
+    """
+    _check_order(order)
+    sign = 1 if t >= 0 else -1
+    count = floor_steps(level / 2.0, abs(t))
+    values = _level_values(x_grid, level, count)
     if count <= 0:
         return 0.0
-    stride = x_grid.dyadic_stride(level)
-    if count * stride > x_grid.half_extent:
-        raise ExtentError(
-            f"spatial grid covers |j| <= {x_grid.half_extent // stride}, "
-            f"need j < {count} on the {'+' if sign > 0 else '-'} side"
-        )
-    center = x_grid.half_extent
-    j = np.arange(count)
-    x0 = x_grid.values[sign * j * stride + center]
-    x1 = x_grid.values[sign * (j + 1) * stride + center]
+    x0, x1 = _cell_ends(values, sign * np.arange(count), sign, x_grid.half_extent)
     scale = 2.0 ** (level * x_grid.hurst.value / 2.0)
     xi = scale * (x1 - x0)
     weights = 0.5 * (f(x0) + f(x1))
@@ -319,30 +308,21 @@ def _weighted_hermite_sum(f: SmoothFunction, x_grid: FbmPath, level: int,
     return math.fsum(terms.tolist())
 
 
-def weighted_hermite_variation(f: SmoothFunction, x_grid: FbmPath, level: int,
-                               order: int, t: float) -> float:
-    """W_n^{(order)}(f, t): the + branch for t >= 0, the - branch at -t for t < 0."""
-    _check_order(order)
-    sign = 1 if t >= 0 else -1
-    count = floor_steps(level / 2.0, abs(t))
-    return _weighted_hermite_sum(f, x_grid, level, order, count, sign)
-
-
-def decompose_variation(f: SmoothFunction, x_grid: FbmPath,
-                        counts: CrossingCounts, order: int) -> tuple:
-    """Both sides of the Hermite decomposition of V_n^{(order)}, order = 2r-1.
+def decompose_variation(f: SmoothFunction, x_grid: FbmPath, level: int,
+                        terminal: int, order: int) -> tuple:
+    """Both sides of the Hermite decomposition of V_n^{(order)}, order = 2r-1,
+    for a level-n walk that ends at index ``terminal``.
 
     Returns (direct_cell_sum, hermite_recombination) evaluated on the same
     inputs; used by the identity check C2 and its tests.
     """
-    lhs = symmetric_variation_skeletal(f, x_grid, counts, order)
+    lhs = symmetric_cell_sum(f, x_grid, level, terminal, order)
     r = (order + 1) // 2
-    n = counts.level
-    ystar = counts.terminal * dyadic_step(n)
+    ystar = terminal * dyadic_step(level)
     coeffs = odd_power_hermite_coeffs(r)
-    scale = 2.0 ** (-n * x_grid.hurst.value * (r - 0.5))
+    scale = 2.0 ** (-level * x_grid.hurst.value * (r - 0.5))
     rhs = scale * math.fsum(
-        coeffs[l - 1] * weighted_hermite_variation(f, x_grid, n, 2 * l - 1, ystar)
+        coeffs[l - 1] * weighted_hermite_variation(f, x_grid, level, 2 * l - 1, ystar)
         for l in range(1, r + 1)
     )
     return lhs, rhs

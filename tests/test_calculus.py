@@ -21,8 +21,8 @@ from fbmbt.calculus import (KAPPA3, LHS_CELLS, VerificationReport, VerifyConfig,
                             _supercritical_pairs, _walk_end_rows,
                             correction_std, evaluate_gate, gate_clauses, ito_residual,
                             sample_joint, taylor_coefficients, verify_branch)
-from fbmbt.fgn import increment_autocovariance, sample_fbm_two_sided
-from fbmbt.scaling import power_variation
+from fbmbt.fgn import HurstParameter, increment_autocovariance, sample_fbm_two_sided
+from fbmbt.scaling import _level_power_sums
 from fbmbt.skeleton import crossing_counts
 from fbmbt.stats import variance_stderr
 from fbmbt.streams import KeyedPhilox, SeedRecord
@@ -36,6 +36,12 @@ class TestTaylorScheme:
         assert scheme.gammas[0] == Fraction(1, 2)
         assert scheme.gammas[1] == Fraction(-1, 24)
         assert scheme.remainder_order == 14
+
+    def test_coefficients_are_the_exact_fractions(self):
+        assert taylor_coefficients().gammas == (
+            Fraction(1, 2), Fraction(-1, 24), Fraction(1, 240), Fraction(-17, 40320),
+            Fraction(31, 725760), Fraction(-691, 159667200),
+            Fraction(5461, 12454041600))
 
     def test_coefficients_match_tanh_series(self):
         # independent oracle: 2 sinh(u) f = sum gamma_r (2u)^{2r-1} 2 cosh(u) f
@@ -102,13 +108,14 @@ class TestItoResidual:
 
     def test_step_count_shared_with_crossing_counts(self):
         # 2^8 t lies 2.6e-9 below 256: the residual, the crossing counts and
-        # the power variation all take N = floor_steps(8, t) = 256
+        # the power sums of fbmbt scaling all take N = floor_steps(8, t) = 256
         t = 1.0 - 1e-11
         js = sample_joint(0.35, 8, 1.0, 41)
         assert len(_skeletal_z_values(js, t)) - 1 == 256
         assert crossing_counts(js, t).n_steps == 256
-        path = sample_fbm_two_sided(0.35, 2.0**-8, 256, seed=42)
-        assert power_variation(path, 2, 8, t) == power_variation(path, 2, 8, 1.0)
+        h, base = HurstParameter(0.35), SeedRecord(42)
+        assert _level_power_sums(h, 2, 8, t, 2, base).tolist() == \
+            _level_power_sums(h, 2, 8, 1.0, 2, base).tolist()
 
 
 class TestCorrectionIntegral:

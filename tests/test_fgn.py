@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import fbmbt.fgn as fgn_mod
 from fbmbt.fgn import (BmPath, EmbeddingError, FbmPath, HurstParameter,
-                       coarsen, dyadic_step, fbm_covariance, floor_steps,
+                       dyadic_step, fbm_covariance, floor_steps,
                        increment_autocovariance, read_path, sample_bm,
                        sample_fbm_rows, sample_fbm_two_sided, sample_fgn,
                        sample_fgn_rows, write_path, write_path_csv)
@@ -263,22 +263,17 @@ class TestFbmSampler:
         var = vals.var(ddof=1)
         assert abs(var - 1.0) <= 3 * np.sqrt(2.0 / reps)
 
-    def test_coarsen_restricts_same_realization(self):
-        p = sample_fbm_two_sided(0.4, 0.125, 64, seed=21)
-        q = coarsen(p, 4)
-        assert q.spacing == 0.5
-        assert q.half_extent == 16
-        np.testing.assert_array_equal(q.values, p.values[::4])
-        with pytest.raises(ValueError):
-            coarsen(p, 7)
-
-    def test_dyadic_stride(self):
-        p = sample_fbm_two_sided(0.3, dyadic_step(8) / 16, 64, seed=3)
-        assert p.dyadic_stride(8) == 16
-        p_odd = sample_fbm_two_sided(0.3, dyadic_step(7) / 8, 64, seed=3)
-        assert p_odd.dyadic_stride(7) == 8
-        with pytest.raises(ValueError):
-            p.dyadic_stride(9)
+    def test_check_level_grid(self):
+        # only spacing 2^{-n/2} itself passes: finer, coarser and odd-level
+        # neighbours are rejected with the spacing and the level named
+        for level in (7, 8):
+            sample_fbm_two_sided(0.3, dyadic_step(level), 64,
+                                 seed=3).check_level_grid(level)
+        for spacing, level in ((dyadic_step(8) / 16, 8), (dyadic_step(7) / 8, 7),
+                               (2 * dyadic_step(8), 8), (dyadic_step(8), 9)):
+            p = sample_fbm_two_sided(0.3, spacing, 64, seed=3)
+            with pytest.raises(ValueError, match=f"is not the level-{level} step"):
+                p.check_level_grid(level)
 
 
 class TestEmbeddingKernel:

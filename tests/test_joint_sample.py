@@ -3,7 +3,7 @@
 X is drawn on the level's own grid and Z_t from its exact conditional law
 given every increment of that grid (``_x_conditional``).  The law oracles
 are a dense-covariance solve, a path drawn eight times finer than the grid
-and coarsened to it, and the snapped draw that ``sample_joint`` used
+and restricted to it, and the snapped draw that ``sample_joint`` used
 before (X on a grid 64 times finer, read at the grid point nearest Y_t).
 The path-free walk and Y_t are checked against the path-based clock they
 replaced (``path_joint``) and against the moments of Y_t.
@@ -19,7 +19,7 @@ from scipy.linalg import solve_toeplitz
 
 from fbmbt.calculus import (JointSample, _increment_solve, _increment_spectra,
                             _pow2_at_least, _x_conditional, sample_joint)
-from fbmbt.fgn import (coarsen, dyadic_step, fbm_covariance, floor_steps,
+from fbmbt.fgn import (dyadic_step, fbm_covariance, floor_steps,
                        increment_autocovariance, sample_bm,
                        sample_fbm_two_sided)
 from fbmbt.skeleton import exit_time_cdf
@@ -64,7 +64,7 @@ class TestConditionalLaw:
 
     @pytest.mark.parametrize("hurst", [0.2, 0.35, 0.75, 0.9])
     def test_coarsened_fine_path(self, hurst):
-        # a path 8x finer than the grid, coarsened to it: the fine value at
+        # a path 8x finer than the grid, restricted to it: the fine value at
         # an off-grid point, standardized by the conditional law, is N(0, 1)
         # and uncorrelated with the grid increment around the point
         reps, refine, half = 2000, 8, 8
@@ -76,15 +76,15 @@ class TestConditionalLaw:
         for rep in range(reps):
             fine = sample_fbm_two_sided(hurst, a / refine, half * refine,
                                         base.derive("replica", rep))
-            grid = coarsen(fine, refine)
+            grid = fine.values[::refine]
             k = int(rng.integers(-(half - 1) * refine, (half - 1) * refine))
             if k % refine == 0:
                 k += 1 + int(rng.integers(refine - 1))
             y = k * fine.spacing
-            mean, std = _x_conditional(grid.values, grid.spacing, grid.hurst.value, y)
+            mean, std = _x_conditional(grid, a, hurst, y)
             z[rep] = (fine.values[k + fine.half_extent] - mean) / std
-            r = k // refine + grid.half_extent
-            around[rep] = grid.values[r + 1] - grid.values[r]
+            r = k // refine + half
+            around[rep] = grid[r + 1] - grid[r]
         ks = ks_one_sample_normal(z)
         assert ks.p_value > 1e-3, ks
         assert abs(np.corrcoef(z, around)[0, 1]) <= 4 / math.sqrt(reps)
@@ -222,7 +222,7 @@ class TestClock:
 def test_joint_sample_requires_the_level_grid_and_steps():
     js = sample_joint(0.35, 6, 1.0, 70)
     finer = sample_fbm_two_sided(0.35, js.x.spacing / 2, 2 * js.x.half_extent, 71)
-    with pytest.raises(ValueError, match="spacing"):
+    with pytest.raises(ValueError, match="spacing .* is not the level-6 step"):
         JointSample(x=finer, walk=js.walk, level=6,
                     seed_record=js.seed_record, t=1.0, y_t=js.y_t, z_t=js.z_t)
     with pytest.raises(ValueError, match="floor"):

@@ -7,56 +7,40 @@ import pytest
 
 import fbmbt.fgn as fgn_mod
 import fbmbt.scaling as scaling_mod
-from fbmbt.fgn import (FbmPath, HurstParameter, floor_steps, sample_fbm_two_sided,
-                       sample_fgn, uniform_step)
-from fbmbt.scaling import check_cubic, check_quadratic, power_variation
+from fbmbt.fgn import HurstParameter, floor_steps, sample_fgn, uniform_step
+from fbmbt.scaling import check_cubic, check_quadratic
 from fbmbt.streams import SeedRecord
 
 
 class TestPowerVariation:
+    """``_power_sum`` and ``_level_power_sums``, the kernels both checks run."""
+
     def test_constant_path_is_zero(self):
-        values = np.zeros(2 * 16 + 1)
-        path = FbmPath(hurst=HurstParameter(0.5), spacing=uniform_step(4),
-                       half_extent=16, values=values, seed_record=SeedRecord(0))
-        assert power_variation(path, 2, 4, 1.0) == 0.0
-        assert power_variation(path, 3, 4, 1.0) == 0.0
-
-    def test_spacing_mismatch_rejected(self):
-        path = sample_fbm_two_sided(0.5, 0.01, 128, seed=1)
-        with pytest.raises(ValueError, match="does not equal"):
-            power_variation(path, 2, 8, 0.5)
-
-    def test_horizon_beyond_extent_rejected(self):
-        path = sample_fbm_two_sided(0.5, uniform_step(4), 8, seed=1)
-        with pytest.raises(ValueError, match="extent"):
-            power_variation(path, 2, 4, 1.0)
+        inc = np.zeros(16)
+        assert scaling_mod._power_sum(inc, 2) == 0.0
+        assert scaling_mod._power_sum(inc, 3) == 0.0
 
     def test_brownian_quadratic_variation_single_path(self):
         # H = 1/2, n = 16: one path already concentrates within 5%
         n = 16
-        path = sample_fbm_two_sided(0.5, uniform_step(n), 2**n, seed=7)
-        qv = power_variation(path, 2, n, 1.0)
-        assert abs(qv - 1.0) < 0.05
+        inc = sample_fgn(0.5, uniform_step(n), 2**n, seed=7)
+        assert abs(scaling_mod._power_sum(inc, 2) - 1.0) < 0.05
 
     @pytest.mark.parametrize("power", [1, 2, 3, 4, 5])
     def test_matches_exact_sum_of_powers(self, power):
         n, t = 9, 0.75
-        path = sample_fbm_two_sided(1 / 6, uniform_step(n), 2**n, seed=60 + power)
-        k = floor_steps(n, t)
-        inc = np.diff(path.values[path.half_extent: path.half_extent + k + 1])
+        inc = sample_fgn(1 / 6, uniform_step(n), floor_steps(n, t), seed=60 + power)
         exact = math.fsum((inc**power).tolist())
-        assert power_variation(path, power, n, t) == pytest.approx(exact, rel=1e-12)
+        assert scaling_mod._power_sum(inc, power) == pytest.approx(exact, rel=1e-12)
+        term = np.empty_like(inc)
+        assert scaling_mod._power_sum(inc, power, term) == \
+            scaling_mod._power_sum(inc, power)
 
     def test_cubic_mean_vanishes(self):
         # odd moments of centered Gaussian increments
         n, reps = 10, 300
-        base = SeedRecord(8)
-        vals = np.array([
-            power_variation(
-                sample_fbm_two_sided(0.3, uniform_step(n), 2**n,
-                                     base.derive("replica", r)), 3, n, 1.0)
-            for r in range(reps)
-        ])
+        vals = scaling_mod._level_power_sums(HurstParameter(0.3), 3, n, 1.0, reps,
+                                             SeedRecord(8))
         assert abs(vals.mean()) <= 3 * vals.std(ddof=1) / np.sqrt(reps)
 
 

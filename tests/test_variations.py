@@ -1,6 +1,7 @@
 """Hermite machinery, weight functions, and variation identities."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,9 +16,8 @@ from fbmbt.streams import SeedRecord
 from fbmbt.variations import (constant_one,
                               cosine, decompose_variation, function_by_name,
                               gaussian_bump, hermite, odd_power_hermite_coeffs,
-                              polynomial, rescaled_increment, sine,
+                              polynomial, sine,
                               symmetric_cell_sum, symmetric_variation_direct,
-                              symmetric_variation_skeletal,
                               weighted_hermite_variation)
 
 
@@ -172,20 +172,16 @@ class TestDirectVariation:
 
 
 class TestSkeletalVariation:
-    def _joint(self, level, steps, seed, hurst=0.3, refine=1):
+    def _joint(self, level, steps, seed, hurst=0.3):
         rec = SeedRecord(seed)
         sk = sample_walk_exact(level, steps, rec)
         reach = int(np.max(np.abs(sk.walk))) + 2
-        x = sample_fbm_two_sided(hurst, dyadic_step(level) / refine,
-                                 reach * refine, rec.derive("fbm"))
+        x = sample_fbm_two_sided(hurst, dyadic_step(level), reach, rec.derive("fbm"))
         return sk, x
 
     def test_zero_terminal_gives_zero(self):
-        from fbmbt.skeleton import CrossingCounts
         x = sample_fbm_two_sided(0.3, dyadic_step(4), 8, seed=1)
-        cc = CrossingCounts(level=4, horizon=0.25, up={0: 2, -1: 1},
-                            down={0: 2, -1: 1}, terminal=0)
-        assert symmetric_variation_skeletal(sine(), x, cc, 3) == 0.0
+        assert symmetric_cell_sum(sine(), x, 4, 0, 3) == 0.0
 
     def test_direct_equals_skeletal(self):
         f = sine()
@@ -193,21 +189,12 @@ class TestSkeletalVariation:
             for level in (4, 5, 8):
                 sk, x = self._joint(level, 2**level, seed=100 + seed)
                 cc = crossing_counts(sk, 1.0)
-                z = x.values[sk.walk * x.dyadic_stride(level) + x.half_extent]
+                z = x.values[sk.walk + x.half_extent]
                 for r in (1, 2, 3):
                     direct = symmetric_variation_direct(f, z[: 2**level + 1], 2 * r - 1)
-                    skel = symmetric_variation_skeletal(f, x, cc, 2 * r - 1)
+                    skel = symmetric_cell_sum(f, x, level, cc.terminal, 2 * r - 1)
                     tol = max(1e-9 * max(abs(direct), abs(skel)), 1e-12)
                     assert abs(direct - skel) <= tol
-
-    def test_strided_grid_supported(self):
-        f = cosine()
-        sk, x = self._joint(6, 64, seed=3, refine=8)
-        cc = crossing_counts(sk, 1.0)
-        z = x.values[sk.walk * x.dyadic_stride(6) + x.half_extent]
-        direct = symmetric_variation_direct(f, z, 3)
-        skel = symmetric_variation_skeletal(f, x, cc, 3)
-        assert abs(direct - skel) <= max(1e-9 * abs(direct), 1e-12)
 
     def test_extent_error_names_requirement(self):
         sk, x = self._joint(4, 64, seed=4)
@@ -215,13 +202,13 @@ class TestSkeletalVariation:
         small = _manual_fbm([0.0, 0.0, 0.0], 0.3, dyadic_step(4))
         if abs(cc.terminal) > 1:
             with pytest.raises(ExtentError, match="need"):
-                symmetric_variation_skeletal(sine(), small, cc, 1)
+                symmetric_cell_sum(sine(), small, 4, cc.terminal, 1)
 
     def test_constant_weight_reaches_terminal_value(self):
         sk, x = self._joint(5, 200, seed=5)
         cc = crossing_counts(sk, 200 * 2.0**-5)
-        v = symmetric_variation_skeletal(constant_one(), x, cc, 1)
-        expected = x.values[cc.terminal * x.dyadic_stride(5) + x.half_extent]
+        v = symmetric_cell_sum(constant_one(), x, 5, cc.terminal, 1)
+        expected = x.values[cc.terminal + x.half_extent]
         assert v == pytest.approx(expected, abs=1e-12)
 
 
@@ -265,45 +252,8 @@ def test_hermite_decomposition_on_random_walks(steps, level, seed):
                              int(np.max(np.abs(walk))) + 2, seed=seed)
     counts = crossing_counts(sk, (len(walk) - 1) * 2.0**-level)
     for order in (1, 3, 5):
-        lhs, rhs = decompose_variation(sine(), x, counts, order)
+        lhs, rhs = decompose_variation(sine(), x, level, counts.terminal, order)
         assert abs(lhs - rhs) <= max(1e-9 * max(abs(lhs), abs(rhs)), 1e-12)
-
-
-class TestRescaledIncrement:
-    def test_first_increment_from_zero(self):
-        x = sample_fbm_two_sided(0.3, dyadic_step(6), 8, seed=9)
-        got = rescaled_increment(x, 6, 0, 1)
-        expected = 2.0 ** (6 * 0.3 / 2) * x.values[x.half_extent + 1]
-        assert got == pytest.approx(expected, rel=1e-15)
-
-    def test_unit_variance(self):
-        h, level, reps = 0.3, 6, 10_000
-        base = SeedRecord(50)
-        vals = np.empty(reps)
-        for rep in range(reps):
-            x = sample_fbm_two_sided(h, dyadic_step(level), 4,
-                                     base.derive("replica", rep))
-            vals[rep] = rescaled_increment(x, level, 1, -1)
-        assert abs(vals.var(ddof=1) - 1.0) <= 3 * np.sqrt(2.0 / reps)
-
-    def test_lag_correlation_matches_autocovariance(self):
-        from fbmbt.fgn import increment_autocovariance
-        h, level, reps = 0.25, 4, 20_000
-        base = SeedRecord(51)
-        inc = np.empty((reps, 3))
-        for rep in range(reps):
-            x = sample_fbm_two_sided(h, dyadic_step(level), 4,
-                                     base.derive("replica", rep))
-            inc[rep] = [rescaled_increment(x, level, j, 1) for j in range(3)]
-        for lag in (1, 2):
-            emp = np.mean(inc[:, 0] * inc[:, lag])
-            assert emp == pytest.approx(increment_autocovariance(lag, h),
-                                        abs=3.5 / np.sqrt(reps))
-
-    def test_extent_error(self):
-        x = sample_fbm_two_sided(0.3, dyadic_step(4), 2, seed=1)
-        with pytest.raises(ExtentError):
-            rescaled_increment(x, 4, 5, 1)
 
 
 class TestWeightedHermiteVariation:
@@ -337,7 +287,7 @@ class TestWeightedHermiteVariation:
             x = sample_fbm_two_sided(0.3, dyadic_step(level), reach, rec.derive("fbm"))
             cc = crossing_counts(sk, 1.0)
             for order in (1, 3, 5):
-                lhs, rhs = decompose_variation(f, x, cc, order)
+                lhs, rhs = decompose_variation(f, x, level, cc.terminal, order)
                 tol = max(1e-9 * max(abs(lhs), abs(rhs)), 1e-12)
                 assert abs(lhs - rhs) <= tol, (seed, order)
 
@@ -346,3 +296,18 @@ class TestWeightedHermiteVariation:
         with pytest.raises(ExtentError):
             weighted_hermite_variation(sine(), x, 8, 1, 1.0)
 
+
+def test_sums_reject_a_path_off_the_level_grid():
+    # X lives on the level's own grid, spacing 2^{-n/2}: each public sum
+    # names the spacing and the level when handed any other grid, empty
+    # sums included
+    for spacing in (dyadic_step(6) / 8, dyadic_step(7), 2 * dyadic_step(6)):
+        x = sample_fbm_two_sided(0.3, spacing, 64, seed=3)
+        match = re.escape(f"path spacing {spacing} is not the level-6 step")
+        for call in (lambda: symmetric_cell_sum(sine(), x, 6, 2, 1),
+                     lambda: symmetric_cell_sum(sine(), x, 6, 0, 1),
+                     lambda: weighted_hermite_variation(sine(), x, 6, 3, -0.5),
+                     lambda: weighted_hermite_variation(sine(), x, 6, 1, 0.0),
+                     lambda: decompose_variation(sine(), x, 6, -2, 3)):
+            with pytest.raises(ValueError, match=match):
+                call()
