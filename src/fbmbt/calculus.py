@@ -5,7 +5,7 @@ evidence:
 
 * supercritical (H > 1/6): the symmetric-sum residual
   f(Z_t) - f(0) - V_n(f', t) tightens to zero as the level grows;
-* critical (H = 1/6): f(Z_t) - f(0) + (kappa3/12) * int_0^{Y_t} f'''(X) dW
+* critical (H = 1/6): f(Z_t) - f(0) + (KAPPA3/12) * int_0^{Y_t} f'''(X) dW
   matches V_n(f', t) in law (two-sample KS across independent pools); W
   is a Brownian motion independent of (X, Y), so given X the correction
   is one normal draw (``correction_std``), with no W path;
@@ -58,9 +58,10 @@ __all__ = [
     "evaluate_gate",
 ]
 
-# Correction-integral constant for the critical regime; configurable at the
-# call sites, pinned here to the published three-decimal value.
-KAPPA3 = 2.322
+# Correction-integral constant for the critical regime (H = 1/6):
+# KAPPA3^2 = 6 sum_{r in Z} rho_{1/6}(r)^3 (Nourdin, Reveillac & Swanson
+# 2010), the nearest double to the series (notes/decisions.md).
+KAPPA3 = 2.3218881041572303
 
 # Cells of the unit grid on which the critical left-hand side draws X.
 LHS_CELLS = 2**13
@@ -362,18 +363,17 @@ def _as_weight(f: SmoothFunction, order: int) -> SmoothFunction:
                           derivatives=f.derivatives[order:])
 
 
-def correction_std(f: SmoothFunction, x: np.ndarray, width,
-                   kappa3: float = KAPPA3) -> "float | np.ndarray":
-    """(kappa3/12) sqrt(width * sum_j f'''(x_j)^2), x_j at the cells' left ends.
+def correction_std(f: SmoothFunction, x: np.ndarray, width) -> "float | np.ndarray":
+    """(KAPPA3/12) sqrt(width * sum_j f'''(x_j)^2), x_j at the cells' left ends.
 
     ``x`` may hold one row of left ends per draw, with ``width`` a scalar or
     one width per row; the result then holds one std per row.
 
-    Given X, the forward sum of (kappa3/12) f'''(X) dW over the cells, W a
+    Given X, the forward sum of (KAPPA3/12) f'''(X) dW over the cells, W a
     Brownian motion independent of X, is normal with mean 0 and this std.
     """
     f3 = np.asarray(f.derivative(3)(x), dtype=float)
-    std = (kappa3 / 12.0) * np.sqrt(width * np.add.reduce(f3 * f3, axis=-1))
+    std = (KAPPA3 / 12.0) * np.sqrt(width * np.add.reduce(f3 * f3, axis=-1))
     return float(std) if np.ndim(std) == 0 else std
 
 
@@ -396,15 +396,12 @@ class VerifyConfig:
     replicas: int
     seed: int
     workers: int = 1
-    kappa3: float = KAPPA3
 
     def __post_init__(self):
         HurstParameter(self.hurst)
         check_layout(self.t, self.levels, self.replicas, self.seed)
         if not (is_integral(self.workers) and self.workers >= 1):
             raise ValueError(f"workers must be an integer >= 1, got {self.workers}")
-        if not math.isfinite(self.kappa3):
-            raise ValueError(f"kappa3 must be finite, got {self.kappa3}")
 
 
 @dataclass
@@ -501,7 +498,7 @@ def _walk_end_rows(cfg: VerifyConfig, level: int, role: str) -> Iterator[tuple]:
 
 
 def _critical_lhs(cfg: VerifyConfig, level: int) -> np.ndarray:
-    """Draws of f(Z_t) - f(0) + (kappa3/12) int_0^{Y_t} f'''(X) dW, one per
+    """Draws of f(Z_t) - f(0) + (KAPPA3/12) int_0^{Y_t} f'''(X) dW, one per
     replica r of the level, from ``SeedRecord(seed).derive("critical-lhs",
     level, r)``: Y_t from "bm", X from "fbm" and the correction's normal
     from "wiener".  X is one one-sided unit row of ``LHS_CELLS`` fGn
@@ -525,7 +522,7 @@ def _critical_lhs(cfg: VerifyConfig, level: int) -> np.ndarray:
         x = np.zeros((len(inc), LHS_CELLS + 1))
         np.cumsum(inc, axis=1, out=x[:, 1:])
         x *= scale[index, None]
-        corr = correction_std(cfg.f, x[:, :-1], width[index], cfg.kappa3) * normals[index]
+        corr = correction_std(cfg.f, x[:, :-1], width[index]) * normals[index]
         lhs[index] = cfg.f(x[:, -1]) - cfg.f(0.0) + corr
     return lhs
 

@@ -18,10 +18,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
-__all__ = ["main", "RunConfig", "UsageError"]
+from . import calculus, fgn, scaling, skeleton
+from .variations import function_by_name
+
+__all__ = ["main", "UsageError"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -38,24 +40,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # keep argparse from sys.exit(2)
         raise UsageError(message)
-
-
-@dataclass
-class RunConfig:
-    """Validated parameters for one command invocation."""
-
-    command: str
-    seed: int
-    outdir: Path
-    params: dict
-
-    @property
-    def out(self) -> "Path | None":
-        o = self.params.get("out")
-        if o is None:
-            return None
-        p = Path(o)
-        return p if p.is_absolute() else self.outdir / p
 
 
 def _build_parser() -> _Parser:
@@ -95,7 +79,6 @@ def _build_parser() -> _Parser:
     v.add_argument("--levels", default="8,10,12,14",
                    help="comma-separated increasing levels")
     v.add_argument("--replicas", type=int, default=500)
-    v.add_argument("--kappa3", type=float, default=None)
     v.add_argument("--csv", default=None,
                    help="per-level CSV path (default: next to the JSON report)")
     v.add_argument("--no-gate", action="store_true",
@@ -148,14 +131,6 @@ def _apply_config_file(parser: _Parser, args: argparse.Namespace, path: str) -> 
         setattr(args, dest, value)
 
 
-def _run_config(args: argparse.Namespace) -> RunConfig:
-    outdir = Path(getattr(args, "outdir", None) or os.environ.get(ENV_OUTDIR, "."))
-    params = {k: v for k, v in vars(args).items()
-              if k not in ("command", "seed", "outdir", "config")}
-    return RunConfig(command=args.command, seed=int(args.seed),
-                     outdir=outdir, params=params)
-
-
 def _parse_levels(text: str) -> tuple:
     """Comma-separated integers; the library checks their order and range."""
     try:
@@ -171,28 +146,27 @@ def _out_of_memory(levels: tuple, t: float) -> UsageError:
                       f"{levels[-1]} with t = {t}; lower t or the levels")
 
 
-def _require_out(cfg: RunConfig, default_name: str) -> Path:
-    out = cfg.out
-    if out is None:
-        out = cfg.outdir / default_name
+def _in_outdir(args: argparse.Namespace, name: str) -> Path:
+    """``name`` under --outdir (default: $FBMBT_OUTDIR or .); an absolute
+    name stands as given."""
+    return Path(args.outdir or os.environ.get(ENV_OUTDIR, ".")) / name
+
+
+def _require_out(args: argparse.Namespace, default_name: str) -> Path:
+    """--out, or ``default_name`` when it is not given, under --outdir,
+    with its directory made."""
+    out = _in_outdir(args, default_name if args.out is None else args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _csv_sibling(cfg: RunConfig, json_out: Path, override) -> Path:
-    """Per-level tables always accompany a report; --csv relocates them."""
-    if override:
-        path = Path(override)
-        return path if path.is_absolute() else cfg.outdir / path
-    return json_out.with_suffix(".csv")
-
-
-def _write_report(cfg: RunConfig, report, default_name: str, notes) -> None:
-    """Save a per-level report as JSON and its CSV table, then print each
-    level's row, the (name, value) ``notes`` and where both files went."""
-    out = _require_out(cfg, default_name)
+def _write_report(args: argparse.Namespace, report, default_name: str, notes) -> None:
+    """Save a per-level report as JSON and its CSV table (next to the JSON
+    unless --csv relocates it), then print each level's row, the (name,
+    value) ``notes`` and where both files went."""
+    out = _require_out(args, default_name)
     report.save(out)
-    csv_path = _csv_sibling(cfg, out, cfg.params.get("csv"))
+    csv_path = _in_outdir(args, args.csv) if args.csv else out.with_suffix(".csv")
     csv_path.write_text(report.per_level_csv(), encoding="utf-8")
     for lev, row in zip(report.levels, report.per_level):
         cells = "  ".join(f"{k}={v:.6g}" for k, v in sorted(row.items()))
@@ -202,29 +176,26 @@ def _write_report(cfg: RunConfig, report, default_name: str, notes) -> None:
     print(f"wrote {out} and {csv_path}")
 
 
-def cmd_generate(cfg: RunConfig) -> int:
-    from . import fgn
-
-    p = cfg.params
-    if p["process"] == "fbm":
-        if p.get("hurst") is None or p.get("half_extent") is None:
+def cmd_generate(args: argparse.Namespace) -> int:
+    if args.process == "fbm":
+        if args.hurst is None or args.half_extent is None:
             raise UsageError("generate --process fbm needs --hurst and --half-extent")
         try:
-            path = fgn.sample_fbm_two_sided(p["hurst"], p["spacing"],
-                                            p["half_extent"], cfg.seed)
+            path = fgn.sample_fbm_two_sided(args.hurst, args.spacing,
+                                            args.half_extent, args.seed)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        default = f"fbm_h{p['hurst']}_seed{cfg.seed}.path"
+        default = f"fbm_h{args.hurst}_seed{args.seed}.path"
     else:
-        if p.get("horizon") is None:
+        if args.horizon is None:
             raise UsageError("generate --process bm needs --horizon")
         try:
-            path = fgn.sample_bm(p["horizon"], p["spacing"], cfg.seed)
+            path = fgn.sample_bm(args.horizon, args.spacing, args.seed)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        default = f"bm_seed{cfg.seed}.path"
-    out = _require_out(cfg, default)
-    if p["format"] == "binary":
+        default = f"bm_seed{args.seed}.path"
+    out = _require_out(args, default)
+    if args.format == "binary":
         fgn.write_path(path, out)
     else:
         fgn.write_path_csv(path, out)
@@ -232,11 +203,8 @@ def cmd_generate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_skeleton(cfg: RunConfig) -> int:
-    from . import fgn, skeleton
-
-    p = cfg.params
-    level, horizon = int(p["level"]), p["horizon"]
+def cmd_skeleton(args: argparse.Namespace) -> int:
+    level, horizon = args.level, args.horizon
     if level < 1:
         raise UsageError("level must be >= 1")
     try:
@@ -245,7 +213,7 @@ def cmd_skeleton(cfg: RunConfig) -> int:
         if steps == 0:
             raise ValueError(f"floor(2^{level} * {horizon}) = 0 steps; "
                              "the skeleton needs at least one")
-        sk = skeleton.sample_walk_exact(level, steps, cfg.seed)
+        sk = skeleton.sample_walk_exact(level, steps, args.seed)
     except OverflowError:
         raise UsageError(f"floor(2^{level} * {horizon}) steps overflow a float") from None
     except MemoryError:
@@ -253,33 +221,27 @@ def cmd_skeleton(cfg: RunConfig) -> int:
                          "lower the level or the horizon") from None
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    out = _require_out(cfg, f"skeleton_n{level}_seed{cfg.seed}.skel")
+    out = _require_out(args, f"skeleton_n{level}_seed{args.seed}.skel")
     skeleton.write_skeleton(sk, out)
     print(f"wrote {out} ({sk.n_steps} steps, mode={sk.mode})")
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    from . import calculus
-    from .variations import function_by_name
-
-    p = cfg.params
-    levels = _parse_levels(p["levels"])
+def cmd_verify(args: argparse.Namespace) -> int:
+    levels = _parse_levels(args.levels)
     try:
-        f = function_by_name(p["fname"])
         vc = calculus.VerifyConfig(
-            hurst=p["hurst"], f=f, t=p["t"], levels=levels,
-            replicas=p["replicas"], seed=cfg.seed,
-            kappa3=p["kappa3"] if p["kappa3"] is not None else calculus.KAPPA3,
+            hurst=args.hurst, f=function_by_name(args.fname), t=args.t,
+            levels=levels, replicas=args.replicas, seed=args.seed,
         )
-        report = calculus.verify_branch(p["branch"], vc)
+        report = calculus.verify_branch(args.branch, vc)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     except MemoryError:
-        raise _out_of_memory(levels, p["t"]) from None
-    _write_report(cfg, report, f"verify_{p['branch']}_seed{cfg.seed}.json",
+        raise _out_of_memory(levels, args.t) from None
+    _write_report(args, report, f"verify_{args.branch}_seed{args.seed}.json",
                   sorted(report.extra.items()))
-    if p.get("no_gate"):
+    if args.no_gate:
         return EXIT_OK
     failures = calculus.evaluate_gate(report)
     for msg in failures:
@@ -287,35 +249,28 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_ACCEPTANCE if failures else EXIT_OK
 
 
-def cmd_scaling(cfg: RunConfig) -> int:
-    from . import scaling
-
-    p = cfg.params
-    levels = _parse_levels(p["levels"])
+def cmd_scaling(args: argparse.Namespace) -> int:
+    levels = _parse_levels(args.levels)
+    check = scaling.check_quadratic if args.power == 2 else scaling.check_cubic
     try:
-        if p["power"] == 2:
-            report = scaling.check_quadratic(p["hurst"], p["t"], levels,
-                                             p["replicas"], cfg.seed)
-        else:
-            report = scaling.check_cubic(p["hurst"], p["t"], levels,
-                                         p["replicas"], cfg.seed)
+        report = check(args.hurst, args.t, levels, args.replicas, args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     except MemoryError:
-        raise _out_of_memory(levels, p["t"]) from None
+        raise _out_of_memory(levels, args.t) from None
     sigma2 = report.estimated_sigma2
-    _write_report(cfg, report, f"scaling_p{p['power']}_seed{cfg.seed}.json",
+    _write_report(args, report, f"scaling_p{args.power}_seed{args.seed}.json",
                   [] if sigma2 is None else [("estimated_sigma2", sigma2)])
     return EXIT_OK
 
 
-def cmd_selftest(cfg: RunConfig) -> int:
+def cmd_selftest(args: argparse.Namespace) -> int:
     """The identity checks of fbmbt.criteria at --seed; exit 0 iff all hold."""
     from .criteria import IDENTITIES
 
     failed = False
     for check in IDENTITIES:
-        result = check(cfg.seed)
+        result = check(args.seed)
         print(f"{'PASS' if result.ok else 'FAIL'}  {result}")
         failed |= not result.ok
     return EXIT_ACCEPTANCE if failed else EXIT_OK
@@ -336,8 +291,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.config:
             _apply_config_file(parser, args, args.config)
-        cfg = _run_config(args)
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

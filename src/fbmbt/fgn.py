@@ -402,13 +402,33 @@ def sample_bm(horizon: float, spacing: float, seed: "int | SeedRecord") -> BmPat
 
 
 # ---------------------------------------------------------------------------
-# Serialization: one-line JSON header + little-endian float64 payload
+# Serialization: one-line JSON header + little-endian payload
 # ---------------------------------------------------------------------------
+
+def _write_headed(file: "str | Path", header: dict, payload: bytes) -> None:
+    """One JSON header line, keys sorted and ``format_version`` added, then
+    the payload bytes: the layout of path and skeleton files."""
+    with open(file, "wb") as fh:
+        fh.write(json.dumps({"format_version": FORMAT_VERSION, **header},
+                            sort_keys=True).encode("utf-8"))
+        fh.write(b"\n")
+        fh.write(payload)
+
+
+def _read_headed(file: "str | Path") -> tuple:
+    """(header, payload) of a file ``_write_headed`` wrote; another
+    ``format_version`` is a ``ValueError``."""
+    with open(file, "rb") as fh:
+        header = json.loads(fh.readline().decode("utf-8"))
+        payload = fh.read()
+    if header.get("format_version") != FORMAT_VERSION:
+        raise ValueError(f"unsupported format_version {header.get('format_version')}")
+    return header, payload
+
 
 def write_path(path_obj: "FbmPath | BmPath", file: "str | Path") -> None:
     if isinstance(path_obj, FbmPath):
         header = {
-            "format_version": FORMAT_VERSION,
             "kind": "fbm",
             "hurst": path_obj.hurst.value,
             "spacing": path_obj.spacing,
@@ -418,7 +438,6 @@ def write_path(path_obj: "FbmPath | BmPath", file: "str | Path") -> None:
         }
     elif isinstance(path_obj, BmPath):
         header = {
-            "format_version": FORMAT_VERSION,
             "kind": "bm",
             "spacing": path_obj.spacing,
             "horizon": path_obj.horizon,
@@ -426,20 +445,11 @@ def write_path(path_obj: "FbmPath | BmPath", file: "str | Path") -> None:
         }
     else:
         raise TypeError(f"cannot serialize {type(path_obj).__name__}")
-    payload = np.asarray(path_obj.values, dtype="<f8").tobytes()
-    with open(file, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        fh.write(payload)
+    _write_headed(file, header, np.asarray(path_obj.values, dtype="<f8").tobytes())
 
 
 def read_path(file: "str | Path") -> "FbmPath | BmPath":
-    with open(file, "rb") as fh:
-        header_line = fh.readline()
-        payload = fh.read()
-    header = json.loads(header_line.decode("utf-8"))
-    if header.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported format_version {header.get('format_version')}")
+    header, payload = _read_headed(file)
     values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     record = SeedRecord.from_dict(header["seed_record"])
     if header["kind"] == "fbm":

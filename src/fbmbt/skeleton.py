@@ -19,7 +19,6 @@ elapsed time, given that it has not yet left the cell.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -28,7 +27,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .fgn import floor_steps
+from .fgn import _read_headed, _write_headed, floor_steps
 from .streams import SeedRecord, as_seed_record
 
 __all__ = [
@@ -46,8 +45,6 @@ __all__ = [
     "write_skeleton",
     "read_skeleton",
 ]
-
-SKELETON_FORMAT_VERSION = 1
 
 
 class InsufficientStepsError(ValueError):
@@ -488,7 +485,6 @@ def sample_walk_exact(level: int, steps: int, seed: "int | SeedRecord",
 
 def write_skeleton(sk: SkeletalStructure, file: "str | Path") -> None:
     header = {
-        "format_version": SKELETON_FORMAT_VERSION,
         "level": sk.level,
         "mode": sk.mode,
         "count": len(sk.times),
@@ -496,19 +492,12 @@ def write_skeleton(sk: SkeletalStructure, file: "str | Path") -> None:
     }
     if np.any(np.abs(sk.walk) > np.iinfo(np.int32).max):  # pragma: no cover
         raise ValueError("walk indices exceed int32 range")
-    with open(file, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        fh.write(np.asarray(sk.times, dtype="<f8").tobytes())
-        fh.write(np.asarray(sk.walk, dtype="<i4").tobytes())
+    _write_headed(file, header, np.asarray(sk.times, dtype="<f8").tobytes()
+                  + np.asarray(sk.walk, dtype="<i4").tobytes())
 
 
 def read_skeleton(file: "str | Path") -> SkeletalStructure:
-    with open(file, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        payload = fh.read()
-    if header.get("format_version") != SKELETON_FORMAT_VERSION:
-        raise ValueError(f"unsupported format_version {header.get('format_version')}")
+    header, payload = _read_headed(file)
     count = int(header["count"])
     times = np.frombuffer(payload[: 8 * count], dtype="<f8").astype(np.float64)
     walk = np.frombuffer(payload[8 * count: 8 * count + 4 * count],

@@ -112,18 +112,17 @@ def _mixed_keys(entropy: list, rows: int) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
+# The algorithms every stream runs, written into each serialized record so
+# that a saved path states how it was produced.
+_ALGORITHMS = {"bit_generator": "Philox", "normal_method": "ziggurat"}
+
+
 @dataclass(frozen=True)
 class SeedRecord:
-    """Replicable identity of one random stream.
-
-    ``bit_generator`` and ``normal_method`` are informational: they pin the
-    algorithms used so serialized paths state how they were produced.
-    """
+    """Replicable identity of one random stream."""
 
     master_seed: int
     key: tuple[int, ...] = field(default=())
-    bit_generator: str = "Philox"
-    normal_method: str = "ziggurat"
 
     def derive(self, *parts: int | str) -> "SeedRecord":
         """Child stream keyed by role labels and indices."""
@@ -157,21 +156,18 @@ class SeedRecord:
         return self._seed_sequence().generate_state(2, np.uint64)[None]
 
     def to_dict(self) -> dict:
-        return {
-            "master_seed": self.master_seed,
-            "key": list(self.key),
-            "bit_generator": self.bit_generator,
-            "normal_method": self.normal_method,
-        }
+        return {"master_seed": self.master_seed, "key": list(self.key), **_ALGORITHMS}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SeedRecord":
-        return cls(
-            master_seed=int(d["master_seed"]),
-            key=tuple(int(k) for k in d.get("key", ())),
-            bit_generator=str(d.get("bit_generator", "Philox")),
-            normal_method=str(d.get("normal_method", "ziggurat")),
-        )
+        """The record ``to_dict`` wrote; a record of other algorithms is a
+        ``ValueError``, since no stream here could replay it."""
+        for name, label in _ALGORITHMS.items():
+            if d.get(name, label) != label:
+                raise ValueError(f"{name} {d[name]!r} is not supported; "
+                                 f"every stream uses {label!r}")
+        return cls(master_seed=int(d["master_seed"]),
+                   key=tuple(int(k) for k in d.get("key", ())))
 
 
 def _codes(parts) -> tuple:

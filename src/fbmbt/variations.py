@@ -33,7 +33,6 @@ from typing import Callable
 import numpy as np
 
 from .fgn import ExtentError, FbmPath, dyadic_step, floor_steps
-from .skeleton import updown_difference
 
 __all__ = [
     "SmoothFunction",
@@ -277,7 +276,8 @@ def _cell_sum(f: SmoothFunction, values: np.ndarray, terminal: int, order: int,
     if terminal == 0:
         return 0.0
     j = np.arange(0, terminal) if terminal > 0 else np.arange(terminal, 0)
-    sign = float(updown_difference(terminal, int(j[0])))
+    # U_j - D_j (skeleton.updown_difference) on each of the cells j
+    sign = 1.0 if terminal > 0 else -1.0
     if center is None:
         center = len(values) // 2
     x0, x1 = _cell_ends(values, j, 1, center)

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from fbmbt.calculus import (LHS_CELLS, _as_weight, _pow2_at_least,
+from fbmbt.calculus import (KAPPA3, LHS_CELLS, _as_weight, _pow2_at_least,
                             _x_conditional)
 from fbmbt.fgn import (dyadic_step, floor_steps, sample_fbm_two_sided,
                        sample_fgn)
@@ -77,13 +77,13 @@ def supercritical_pair(cfg, level, rec):
 
 
 def critical_lhs(cfg, rec):
-    """One draw of f(Z_t) - f(0) + (kappa3/12) int_0^{Y_t} f'''(X) dW."""
+    """One draw of f(Z_t) - f(0) + (KAPPA3/12) int_0^{Y_t} f'''(X) dW."""
     y_t = math.sqrt(cfg.t) * float(rec.derive("bm").generator().standard_normal())
     unit = sample_fgn(cfg.hurst, 1.0 / LHS_CELLS, LHS_CELLS, rec.derive("fbm"))
     x = np.concatenate([[0.0], np.cumsum(unit)]) * abs(y_t) ** cfg.hurst
     g = float(rec.derive("wiener").generator().standard_normal())
     f3 = np.asarray(cfg.f.derivative(3)(x[:-1]), dtype=float)
-    std = (cfg.kappa3 / 12.0) * math.sqrt(abs(y_t) / LHS_CELLS
-                                          * float(np.add.reduce(f3 * f3)))
+    std = (KAPPA3 / 12.0) * math.sqrt(abs(y_t) / LHS_CELLS
+                                      * float(np.add.reduce(f3 * f3)))
     corr = std * g
     return float(cfg.f(x[-1]) - cfg.f(0.0) + corr)

@@ -172,19 +172,13 @@ class TestCorrectionIntegral:
             for i in range(5):
                 assert sums[i] == np.add.reduce(f3[i].copy() * f3[i].copy())
 
-    def test_kappa3_scales_linearly(self):
-        x = sample_fbm_two_sided(1 / 6, 2.0**-6, 64, seed=17).values
-        base = correction_std(sine(), x, 2.0**-6, kappa3=KAPPA3)
-        doubled = correction_std(sine(), x, 2.0**-6, kappa3=2 * KAPPA3)
-        assert base > 0
-        assert doubled == pytest.approx(2 * base, rel=1e-12)
-
     def test_kappa3_matches_cubic_chaos_series(self):
-        # kappa3^2 = 6 * sum_q rho(q)^3 at the critical Hurst value
-        q = np.arange(1, 200_000)
+        # kappa3^2 = 6 sum_{r in Z} rho_{1/6}(r)^3, summed exactly over
+        # 2^17 lags; the tail beyond is below 1e-15 of the sum
+        q = np.arange(1, 2**17)
         rho3 = increment_autocovariance(q, 1 / 6) ** 3
-        series = np.sqrt(6.0 * (1.0 + 2.0 * np.sum(rho3)))
-        assert KAPPA3 == pytest.approx(series, abs=5e-4)
+        series = math.sqrt(6.0 * (1.0 + 2.0 * math.fsum(rho3.tolist())))
+        assert KAPPA3 == pytest.approx(series, rel=1e-15, abs=0)
 
 
 class TestStepSixAssembly:
@@ -234,8 +228,6 @@ class TestVerifyConfig:
         ("replicas", 1),
         ("replicas", 2.5),
         ("seed", -1),
-        ("kappa3", float("nan")),
-        ("kappa3", float("inf")),
         ("workers", 0),
         ("workers", -3),
         ("workers", 1.5),

@@ -163,7 +163,8 @@ class TestVerifyCommand:
         assert outs[0]["body"] == outs[1]["body"]
 
     @pytest.mark.parametrize("flag, value", [("--workers", "1"),
-                                             ("--slope-tolerance", "nan")])
+                                             ("--slope-tolerance", "nan"),
+                                             ("--kappa3", "0")])
     def test_removed_flags_are_usage_errors(self, tmp_path, capsys, flag, value):
         argv = ["verify", "--branch", "subcritical", "--hurst", "0.1", "--levels", "4,5,6",
                 "--replicas", "20", "--outdir", str(tmp_path)]
@@ -364,13 +365,17 @@ class TestConfigPlumbing:
         assert "unknown key 'x_refine'" in capsys.readouterr().err
 
     def test_config_file_converts_with_the_flag_type(self, tmp_path, capsys):
-        # --kappa3 defaults to None; its config value must still be a float
-        cfgfile = tmp_path / "k.cfg"
-        cfgfile.write_text("kappa3 = 0\n")
-        code = run("--config", str(cfgfile), "verify", "--branch", "critical",
-                   "--hurst", str(1 / 6), "--levels", "4,6", "--replicas", "20",
-                   "--no-gate", "--outdir", str(tmp_path))
+        # --hurst and --half-extent default to None; their config values must
+        # still become a float and an int
+        cfgfile = tmp_path / "g.cfg"
+        cfgfile.write_text("hurst = 0.3\nhalf_extent = 8\n")
+        out = tmp_path / "g.path"
+        code = run("--config", str(cfgfile), "generate", "--process", "fbm",
+                   "--spacing", "0.25", "-o", str(out))
         assert code == 0, capsys.readouterr().err
+        path = read_path(out)
+        assert (path.hurst.value, path.half_extent) == (0.3, 8)
+        assert isinstance(path.half_extent, int)
 
     def test_config_file_bad_value_is_usage_error(self, tmp_path, capsys):
         cfgfile = tmp_path / "r.cfg"
@@ -438,7 +443,6 @@ class TestFuzzedFlags:
             "--t": (_floats(0.05, 2.0), _BAD_FLOAT),
             "--levels": (_levels(7), _BAD_LEVELS),
             "--replicas": (st.integers(2, 6).map(str), _BAD_INT),
-            "--kappa3": (st.one_of(st.none(), _floats(-3.0, 3.0)), _BAD_FLOAT),
             "--seed": (st.integers(0, 2**64).map(str), st.sampled_from(["-1", "x"])),
             "--f": (st.sampled_from(["sin", "cube", "gauss"]), st.just("nope")),
         }

@@ -16,12 +16,13 @@ _scheme = calculus.taylor_coefficients()
 _gammas = _scheme.gammas[:2] + (_scheme.gammas[2] + Fraction(1, 1000),) + _scheme.gammas[3:]
 
 _as_weight = calculus._as_weight
+_cell_ends = variations._cell_ends
 _within_tol = "error <= tol"  # the one clause of an identity check
 
 MUTANTS = {  # check name: (check, failing clause, module, attribute, broken replacement)
-    "cell-sum identity": (  # the cell sum takes its sign from the closed form
-        criteria.cell_sum_identity, _within_tol, variations, "updown_difference",
-        lambda t, j: -skeleton.updown_difference(t, j)),
+    "cell-sum identity": (  # each cell read from its right end to its left
+        criteria.cell_sum_identity, _within_tol, variations, "_cell_ends",
+        lambda values, cells, sign, center: _cell_ends(values, cells, sign, center)[::-1]),
     "Hermite decomposition identity": (  # x^3 = H_3 + 3 H_1, not H_3 + 3.5 H_1
         criteria.hermite_decomposition, _within_tol, variations, "odd_power_hermite_coeffs",
         lambda r: _coeffs(r) + 0.5 * (r == 2) * (np.arange(r) == 0)),

@@ -16,7 +16,8 @@ import numpy as np
 
 import pytest
 
-from fbmbt.calculus import LHS_CELLS, VerifyConfig, _critical_lhs, _pow2_at_least
+from fbmbt.calculus import (KAPPA3, LHS_CELLS, VerifyConfig, _critical_lhs,
+                            _pow2_at_least)
 from fbmbt.fgn import sample_fbm_rows, sample_fbm_two_sided
 from fbmbt.stats import ks_two_sample
 from fbmbt.streams import KeyedPhilox, SeedRecord
@@ -52,7 +53,7 @@ def _old_lhs(cfg, seed):
         for r, row in zip(index.tolist(), rows):
             x = row - row[0]
             dw = math.sqrt(h) * stream.at(wiener_keys[r]).standard_normal(count[r])
-            corr = (cfg.kappa3 / 12.0) * float(f3(x[:count[r]]) @ dw)
+            corr = (KAPPA3 / 12.0) * float(f3(x[:count[r]]) @ dw)
             lhs[r] = cfg.f(x[snap[r]]) - cfg.f(0.0) + corr
     return lhs
 
@@ -77,8 +78,8 @@ def _two_sided_lhs(cfg, rec):
     scaling by s = |Y_t|^H the paths differ by at most 5u s max|c| <= 6u M,
     M = max|x|.  With |sin'| <= 1, Z_t moves f(Z_t) by at most that, and
     with |cos'| <= 1 the norm sqrt(sum_k cos(x_k)^2) moves by at most
-    sqrt(LHS_CELLS) times it, so the correction (kappa3/12) |g|
-    sqrt(|Y_t| / LHS_CELLS) times that norm moves by (kappa3/12) |g|
+    sqrt(LHS_CELLS) times it, so the correction (KAPPA3/12) |g|
+    sqrt(|Y_t| / LHS_CELLS) times that norm moves by (KAPPA3/12) |g|
     sqrt(|Y_t|) 6u M.  Each side's own rounding (sin and cos within 4 ulp,
     the pairwise sum of 2^13 squares within 25 roundings, the products,
     the square root and the final sums) stays below 64u (1 + |corr| + |lhs|).
@@ -89,12 +90,12 @@ def _two_sided_lhs(cfg, rec):
     x = (unit - unit[0]) * abs(y_t) ** cfg.hurst
     g = float(rec.derive("wiener").generator().standard_normal())
     f3 = np.asarray(cfg.f.derivative(3)(x[:-1]), dtype=float)
-    std = (cfg.kappa3 / 12.0) * math.sqrt(abs(y_t) / LHS_CELLS
-                                          * float(np.add.reduce(f3 * f3)))
+    std = (KAPPA3 / 12.0) * math.sqrt(abs(y_t) / LHS_CELLS
+                                      * float(np.add.reduce(f3 * f3)))
     corr = std * g
     lhs = float(cfg.f(x[-1]) - cfg.f(0.0) + corr)
     path = 6 * U * float(np.max(np.abs(x)))
-    tol = path * (1 + cfg.kappa3 / 12.0 * abs(g) * math.sqrt(abs(y_t))) \
+    tol = path * (1 + KAPPA3 / 12.0 * abs(g) * math.sqrt(abs(y_t))) \
         + 64 * U * (1 + abs(corr) + abs(lhs))
     return lhs, tol
 

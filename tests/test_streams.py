@@ -54,6 +54,22 @@ def test_a_records_own_key_is_its_generators(record):
                                   record.generator().standard_normal(6))
 
 
+def test_record_dict_names_the_algorithms_and_round_trips():
+    record = SeedRecord(7).derive("fbm", 3)
+    d = record.to_dict()
+    assert d == {"master_seed": 7, "key": [1, 3], "bit_generator": "Philox",
+                 "normal_method": "ziggurat"}
+    assert SeedRecord.from_dict(d) == record
+
+
+@pytest.mark.parametrize("name, label", [("bit_generator", "PCG64"),
+                                         ("normal_method", "inversion")])
+def test_record_dict_of_another_algorithm_is_rejected(name, label):
+    d = dict(SeedRecord(7).to_dict(), **{name: label})
+    with pytest.raises(ValueError, match=f"{name} '{label}'"):
+        SeedRecord.from_dict(d)
+
+
 class TestKeyedPhilox:
     def _pairs(self):
         rec = SeedRecord(202).derive("subcritical", 8)
